@@ -46,14 +46,9 @@ int main() {
     dpp.v = 100.0;
     dpp.initial_queue = 20.0;
     dpp.bdma.iterations = 3;
-    sim::DppPolicy dpp_policy(instance, dpp);
-    score(dpp_policy);
-
-    sim::MpcPolicy mpc_policy(instance, sim::MpcConfig{});
-    score(mpc_policy);
-
-    sim::GreedyBudgetPolicy greedy(instance);
-    score(greedy);
+    score(*sim::pipeline::make_dpp_pipeline(instance, dpp));
+    score(*sim::pipeline::make_mpc_pipeline(instance, sim::MpcConfig{}));
+    score(*sim::make_policy("greedy-budget", instance));
   }
   table.print(std::cout);
   std::cout << "\nreading: all three land within ~1% of each other on "

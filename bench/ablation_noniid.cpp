@@ -32,16 +32,17 @@ int main() {
     dpp.v = 100.0;
     dpp.initial_queue = 30.0;
     dpp.bdma.iterations = 5;
-    sim::DppPolicy policy(scenario.instance(), dpp);
+    const auto policy =
+        sim::pipeline::make_dpp_pipeline(scenario.instance(), dpp);
 
     // Drive manually to also collect the mean clock per slot.
-    policy.reset();
+    policy->reset();
     util::Rng rng(1);
     core::MetricsCollector metrics;
     std::vector<double> prices;
     std::vector<double> clocks;
     for (const auto& state : states) {
-      const auto slot = policy.step(state, rng);
+      const auto slot = policy->step(state, rng);
       metrics.record(slot);
       prices.push_back(state.price_per_mwh);
       double mean_clock = 0.0;

@@ -29,8 +29,9 @@ int main() {
     core::DppConfig dpp;
     dpp.v = v;
     dpp.bdma.iterations = 5;
-    sim::DppPolicy policy(scenario.instance(), dpp);
-    const auto result = sim::run_policy(policy, states);
+    const auto policy =
+        sim::pipeline::make_dpp_pipeline(scenario.instance(), dpp);
+    const auto result = sim::run_policy(*policy, states);
     backlogs.push_back(result.metrics.queue_series());
   }
 

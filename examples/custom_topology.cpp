@@ -84,8 +84,9 @@ int main() {
   // 4. One DPP slot, decomposed: BDMA -> Lemma 1 -> metrics.
   core::DppConfig dpp_config;
   dpp_config.v = 150.0;
-  core::DppController controller(instance, dpp_config);
-  const auto slot = controller.step(state, rng);
+  const auto controller =
+      sim::pipeline::make_dpp_pipeline(instance, dpp_config);
+  const auto slot = controller->step(state, rng);
 
   std::cout << "\nslot 0 decision:\n"
             << "  total latency   : " << slot.latency << " s\n"

@@ -35,14 +35,15 @@ int main() {
   core::DppConfig dpp;
   dpp.v = 100.0;
   dpp.bdma.iterations = 5;
-  sim::DppPolicy dpp_policy(scenario.instance(), dpp);
-  sim::FixedFrequencyPolicy max_policy(scenario.instance(), 1.0);
-  sim::FixedFrequencyPolicy min_policy(scenario.instance(), 0.0);
+  const auto dpp_policy =
+      sim::pipeline::make_dpp_pipeline(scenario.instance(), dpp);
+  const auto max_policy = sim::make_policy("fixed-max", scenario.instance());
+  const auto min_policy = sim::make_policy("fixed-min", scenario.instance());
 
   std::vector<sim::SimulationResult> results;
-  results.push_back(sim::run_policy(dpp_policy, states));
-  results.push_back(sim::run_policy(max_policy, states));
-  results.push_back(sim::run_policy(min_policy, states));
+  results.push_back(sim::run_policy(*dpp_policy, states));
+  results.push_back(sim::run_policy(*max_policy, states));
+  results.push_back(sim::run_policy(*min_policy, states));
 
   std::cout << "\n";
   sim::print_comparison(std::cout, results, config.budget_per_slot);

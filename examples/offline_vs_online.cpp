@@ -31,13 +31,13 @@ int main() {
   dpp.v = 100.0;
   dpp.initial_queue = 25.0;
   dpp.bdma.iterations = 3;
-  core::DppController controller(instance, dpp);
+  const auto controller = sim::pipeline::make_dpp_pipeline(instance, dpp);
   core::LyapunovAnalyzer analyzer(dpp.v);
   util::Rng rng(1);
   double online_latency = 0.0;
   double online_cost = 0.0;
   for (const auto& state : states) {
-    const auto slot = controller.step(state, rng);
+    const auto slot = controller->step(state, rng);
     analyzer.record(slot);
     online_latency += slot.latency;
     online_cost += slot.energy_cost;

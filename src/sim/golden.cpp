@@ -125,9 +125,19 @@ const std::vector<GoldenScenario>& golden_scenarios() {
 }
 
 const std::vector<std::string>& golden_policies() {
-  static const std::vector<std::string> policies = {
-      "dpp-bdma", "dpp-mcba", "dpp-ropt", "beta-only"};
+  static const std::vector<std::string> policies = registered_policies();
   return policies;
+}
+
+const GoldenScenario& golden_mpc_forecast_scenario() {
+  static const GoldenScenario scenario = [] {
+    GoldenScenario gs = golden_scenarios()[1];  // tiny-b
+    gs.name = "tiny-b-48";
+    gs.config.budget_per_slot = 0.35;
+    gs.horizon = 2 * golden_policy_params().mpc.period;
+    return gs;
+  }();
+  return scenario;
 }
 
 const std::vector<GoldenScenario>& golden_preset_scenarios() {
@@ -168,6 +178,7 @@ const std::vector<GoldenCase>& golden_cases() {
     for (const GoldenScenario& gs : golden_preset_scenarios()) {
       list.push_back(GoldenCase{&gs, "dpp-bdma"});
     }
+    list.push_back(GoldenCase{&golden_mpc_forecast_scenario(), "mpc"});
     return list;
   }();
   return cases;

@@ -35,26 +35,36 @@ struct GoldenScenario {
   std::size_t horizon = 16;
 };
 
-// The committed fixture matrix: 3 small scenarios x 4 registry policies
-// (dpp-bdma — the paper's EOTORA controller —, dpp-mcba, dpp-ropt,
-// beta-only).
+// The committed fixture matrix: 3 small scenarios x every registered
+// policy (sim/registry.h: dpp-bdma — the paper's EOTORA controller — and
+// each baseline), so every registry name has a bit-exact pin.
 [[nodiscard]] const std::vector<GoldenScenario>& golden_scenarios();
 [[nodiscard]] const std::vector<std::string>& golden_policies();
 // The scenario-diversity fixtures: one tiny world per registered non-paper
 // scenario preset (sim/scenario_registry.h), each paired with dpp-bdma
-// only — the presets drift-gate the GENERATORS, the 3x4 matrix above
+// only — the presets drift-gate the GENERATORS, the policy matrix above
 // drift-gates the policies.
 [[nodiscard]] const std::vector<GoldenScenario>& golden_preset_scenarios();
+// The long-horizon fixture: the tiny-b world at a tighter budget ($0.35
+// per slot) over two MPC periods (48 slots at the default
+// MpcConfig::period of 24), paired with mpc only. MPC plans from trend
+// forecasts only after it has seen one full period; the 12-16 slot matrix
+// above pins its bootstrap branch, this one the forecasting branch. The
+// budget is chosen so the forecast window binds (a positive multiplier) on
+// every forecasting slot, so the forecast prices and load scales reach the
+// decisions; at the matrix budgets the window plan never binds.
+[[nodiscard]] const GoldenScenario& golden_mpc_forecast_scenario();
 
 // One committed fixture: a scenario plus the policy recorded over it.
 struct GoldenCase {
-  const GoldenScenario* scenario = nullptr;  // into one of the lists above
+  const GoldenScenario* scenario = nullptr;  // one of the scenarios above
   std::string policy;
 };
 // Every committed fixture, in fixture-file order: the full
-// golden_scenarios() x golden_policies() product (12), then
-// golden_preset_scenarios() x dpp-bdma (4). golden_tool and the drift
-// gates iterate THIS list — new fixtures only need a new entry here.
+// golden_scenarios() x golden_policies() product (27), then
+// golden_preset_scenarios() x dpp-bdma (4), then the long-horizon mpc
+// fixture (1). golden_tool and the drift gates iterate THIS list — new
+// fixtures only need a new entry here.
 [[nodiscard]] const std::vector<GoldenCase>& golden_cases();
 // The fixed PolicyParams every golden trace is recorded with.
 [[nodiscard]] const PolicyParams& golden_policy_params();

@@ -5,21 +5,24 @@
 // ("dpp-bdma", "greedy-budget", ...) instead of hand-wiring constructor
 // calls, so a new policy registered here is immediately sweepable from
 // every harness. The knobs a sweep commonly varies are collected in
-// PolicyParams (sim/policy_params.h); anything not covered there still has
-// the plain policy constructors. Every name is built as a sim::pipeline
-// assembly (sim/pipeline/assemblies.h) — bit-identical to the monolithic
-// policy classes, plus a per-stage stats/trace breakdown.
+// PolicyParams (sim/policy_params.h); anything not covered there goes
+// through the assembly factories directly. Every name is built as a
+// sim::pipeline assembly (sim/pipeline/assemblies.h), with a per-stage
+// stats/trace breakdown.
 //
-// Registered names:
-//   beta-only        BetaOnlyPolicy (Lemma-2 per-slot budget oracle)
-//   dpp-bdma         DppPolicy, CGBA inner solver (the paper's controller)
-//   dpp-mcba         DppPolicy, MCBA inner solver ("MCBA-based DPP")
-//   dpp-ropt         DppPolicy, ROPT inner solver ("ROPT-based DPP")
-//   greedy-budget    GreedyBudgetPolicy (myopic per-slot budget)
-//   fixed-frequency  FixedFrequencyPolicy at params.fixed_fraction
-//   fixed-max        FixedFrequencyPolicy at fraction 1.0 (latency floor)
-//   fixed-min        FixedFrequencyPolicy at fraction 0.0 (cost floor)
-//   mpc              MpcPolicy (receding-horizon baseline), params.mpc
+// Registered names (assembly factory in parentheses):
+//   beta-only        Lemma-2 per-slot budget oracle (make_beta_only_pipeline)
+//   dpp-bdma         DPP, CGBA inner solver — the paper's controller
+//                    (make_dpp_pipeline)
+//   dpp-mcba         DPP, MCBA inner solver ("MCBA-based DPP")
+//   dpp-ropt         DPP, ROPT inner solver ("ROPT-based DPP")
+//   greedy-budget    myopic per-slot budget (make_greedy_budget_pipeline)
+//   fixed-frequency  CGBA at params.fixed_fraction
+//                    (make_fixed_frequency_pipeline)
+//   fixed-max        CGBA at fraction 1.0 (latency floor)
+//   fixed-min        CGBA at fraction 0.0 (cost floor)
+//   mpc              receding-horizon baseline, params.mpc
+//                    (make_mpc_pipeline)
 #pragma once
 
 #include <memory>

@@ -40,7 +40,7 @@ struct SimulationResult {
   core::counters::SolverCounters counters;
   // Per-stage breakdown of the decision work (runs, seconds, counters), in
   // stage order — captured from Policy::stage_stats() after the drain.
-  // Empty for monolithic (non-pipeline) policies. The counters of all
+  // Empty for a policy that is not a PolicyGraph. The counters of all
   // stages sum to `counters` above; the seconds are wall-clock and hence
   // not deterministic.
   std::vector<pipeline::StageStats> stages;

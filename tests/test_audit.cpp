@@ -78,7 +78,7 @@ TEST_F(AuditTest, ConsistentSlotIsClean) {
   EXPECT_EQ(report.slots_with_violations, 0u);
 }
 
-TEST_F(AuditTest, DppPolicyStepIsClean) {
+TEST_F(AuditTest, DppBdmaStepIsClean) {
   auto policy = sim::make_policy("dpp-bdma", instance_);
   util::Rng rng(7);
   SlotAuditor auditor(instance_);

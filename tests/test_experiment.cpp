@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "sim/decision_log.h"
+#include "sim/pipeline/assemblies.h"
 
 namespace eotora::sim {
 namespace {
@@ -29,7 +30,7 @@ PolicyFactory dpp_factory(double v = 50.0) {
     core::DppConfig config;
     config.v = v;
     config.bdma.iterations = 1;
-    return std::make_unique<DppPolicy>(instance, config);
+    return pipeline::make_dpp_pipeline(instance, config);
   };
 }
 
@@ -82,12 +83,12 @@ TEST(DecisionLog, RecordsAndSerializes) {
   Scenario scenario(tiny());
   core::DppConfig config;
   config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
   DecisionLog log;
   util::Rng rng(1);
   for (int t = 0; t < 5; ++t) {
     const auto state = scenario.next_state();
-    log.record(state, policy.step(state, rng));
+    log.record(state, policy->step(state, rng));
   }
   EXPECT_EQ(log.rows(), 5u);
   const std::string csv = log.to_csv();
@@ -105,11 +106,11 @@ TEST(DecisionLog, SaveWritesFile) {
   Scenario scenario(tiny());
   core::DppConfig config;
   config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
   DecisionLog log;
   util::Rng rng(2);
   const auto state = scenario.next_state();
-  log.record(state, policy.step(state, rng));
+  log.record(state, policy->step(state, rng));
   const std::string path = "/tmp/eotora_test_decision_log.csv";
   log.save(path);
   std::ifstream file(path);

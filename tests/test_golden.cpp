@@ -123,19 +123,33 @@ TEST(GoldenFixtures, FilenameAndMatrixShape) {
   EXPECT_EQ(sim::golden_fixture_filename("tiny-a", "dpp-bdma"),
             "tiny-a.dpp-bdma.json");
   EXPECT_EQ(sim::golden_scenarios().size(), 3u);
-  EXPECT_EQ(sim::golden_policies().size(), 4u);
+  // Every registry name has fixtures: the goldens are the only bit-exact
+  // pin of each policy's decisions.
+  EXPECT_EQ(sim::golden_policies(), sim::registered_policies());
   // One preset fixture per registered non-paper scenario generator.
   EXPECT_EQ(sim::golden_preset_scenarios().size(),
             sim::registered_scenarios().size() - 1);
-  // The case list is the 3x4 product plus the preset x dpp-bdma fixtures.
+  // The case list is the 3 x every-policy product, the preset x dpp-bdma
+  // fixtures, and the long-horizon mpc fixture.
   EXPECT_EQ(sim::golden_cases().size(),
             sim::golden_scenarios().size() * sim::golden_policies().size() +
-                sim::golden_preset_scenarios().size());
-  for (const std::string& policy : sim::golden_policies()) {
-    EXPECT_TRUE(sim::is_registered_policy(policy)) << policy;
-  }
+                sim::golden_preset_scenarios().size() + 1);
+  EXPECT_EQ(sim::golden_cases().back().policy, "mpc");
   for (const GoldenScenario& gs : sim::golden_preset_scenarios()) {
     EXPECT_TRUE(sim::is_registered_scenario(gs.name)) << gs.name;
+  }
+}
+
+// MPC forecasts only after one full period (MpcConfig::period = 24 by
+// default); the long fixture must run past it to pin the forecasting
+// branch, which the 12-16 slot matrix never reaches.
+TEST(GoldenFixtures, LongMpcFixtureSpansTwoPeriods) {
+  const GoldenScenario& gs = sim::golden_mpc_forecast_scenario();
+  const std::size_t period = sim::golden_policy_params().mpc.period;
+  EXPECT_EQ(period, 24u);
+  EXPECT_EQ(gs.horizon, 2 * period);
+  for (const GoldenScenario& short_gs : sim::golden_scenarios()) {
+    EXPECT_LT(short_gs.horizon, period) << short_gs.name;
   }
 }
 
@@ -183,7 +197,7 @@ TEST(GoldenFixtures, RecordingIsDeterministic) {
 }
 
 TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
-  // One cell of the matrix in-process; golden_tool check covers all 12.
+  // One cell of the matrix in-process; golden_tool check covers all 32.
   const GoldenScenario& gs = sim::golden_scenarios().front();
   const std::string path = std::string(EOTORA_GOLDEN_DIR) + "/" +
                            sim::golden_fixture_filename(gs.name, "dpp-bdma");
@@ -194,8 +208,9 @@ TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
 }
 
 // The observability inertness gate over the whole fixture list: with
-// util/trace enabled, every committed fixture (the 3x4 policy matrix plus
-// the scenario-preset cases) must still re-derive byte-identically. Tracing
+// util/trace enabled, every committed fixture (the 3 x every-policy matrix,
+// the scenario-preset cases and the long mpc case) must still re-derive
+// byte-identically. Tracing
 // reads clocks and appends to its own buffers but never touches an RNG or a
 // result value; a divergence here means instrumentation leaked into the
 // decision path.
@@ -216,7 +231,7 @@ TEST(GoldenFixtures, AllFixturesAreByteIdenticalWithTracingEnabled) {
         << " diverged with tracing on: " << div.describe();
     ++checked;
   }
-  EXPECT_EQ(checked, 16u);
+  EXPECT_EQ(checked, 32u);
   EXPECT_GT(util::trace::event_count(), 0u);  // tracing really was live
   util::trace::set_enabled(was_enabled);
   util::trace::clear();

@@ -1,6 +1,5 @@
 // The pipeline contract:
-//  * every registry policy, rebuilt as a PolicyGraph, is bit-identical to
-//    the monolithic policy class it replaces (across solvers and seeds);
+//  * reset() restarts every registry assembly exactly, slot by slot;
 //  * typed-port mismatches fail at construction with descriptive errors;
 //  * the per-stage SolverCounters of a run sum exactly to the run totals;
 //  * the AuditTap hook fires once per slot.
@@ -13,10 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/mpc_policy.h"
 #include "sim/pipeline/assemblies.h"
 #include "sim/pipeline/stages.h"
-#include "sim/policy.h"
 #include "sim/policy_params.h"
 #include "sim/registry.h"
 #include "sim/scenario.h"
@@ -45,49 +42,6 @@ PolicyParams fast_params() {
   return params;
 }
 
-// The monolithic policy class each registry name wraps — the pre-pipeline
-// construction path, kept as the differential reference.
-std::unique_ptr<Policy> make_monolith(const std::string& name,
-                                      const core::Instance& instance,
-                                      const PolicyParams& params) {
-  if (name == "dpp-bdma") {
-    return std::make_unique<DppPolicy>(
-        instance, dpp_config_from(params, core::P2aSolverKind::kCgba));
-  }
-  if (name == "dpp-mcba") {
-    return std::make_unique<DppPolicy>(
-        instance, dpp_config_from(params, core::P2aSolverKind::kMcba));
-  }
-  if (name == "dpp-ropt") {
-    return std::make_unique<DppPolicy>(
-        instance, dpp_config_from(params, core::P2aSolverKind::kRopt));
-  }
-  if (name == "beta-only") {
-    return std::make_unique<BetaOnlyPolicy>(instance,
-                                            beta_only_config_from(params));
-  }
-  if (name == "greedy-budget") {
-    return std::make_unique<GreedyBudgetPolicy>(
-        instance, baseline_cgba_config_from(params));
-  }
-  if (name == "fixed-frequency") {
-    return std::make_unique<FixedFrequencyPolicy>(
-        instance, params.fixed_fraction, baseline_cgba_config_from(params));
-  }
-  if (name == "fixed-max") {
-    return std::make_unique<FixedFrequencyPolicy>(
-        instance, 1.0, baseline_cgba_config_from(params));
-  }
-  if (name == "fixed-min") {
-    return std::make_unique<FixedFrequencyPolicy>(
-        instance, 0.0, baseline_cgba_config_from(params));
-  }
-  if (name == "mpc") {
-    return std::make_unique<MpcPolicy>(instance, mpc_config_from(params));
-  }
-  throw std::invalid_argument("no monolith for " + name);
-}
-
 // Exact (bitwise, via operator==) equality of every DppSlotResult field.
 void expect_identical_slot(const core::DppSlotResult& a,
                            const core::DppSlotResult& b,
@@ -112,38 +66,35 @@ void expect_identical_slot(const core::DppSlotResult& a,
   EXPECT_EQ(a.p2a_iterations, b.p2a_iterations) << context;
 }
 
-TEST(Pipeline, GraphMatchesMonolithBitForBitAcrossPoliciesAndSeeds) {
-  const PolicyParams params = fast_params();
-  for (const std::uint64_t seed : {11u, 42u, 303u}) {
-    Scenario scenario(tiny(seed));
-    const auto states = scenario.generate_states(6);
-    for (const auto& name : registered_policies()) {
-      auto graph = make_policy(name, scenario.instance(), params);
-      auto monolith = make_monolith(name, scenario.instance(), params);
-      ASSERT_EQ(graph->name(), monolith->name()) << name;
-      graph->reset();
-      monolith->reset();
-      util::Rng graph_rng(1 + seed);
-      util::Rng monolith_rng(1 + seed);
-      for (std::size_t t = 0; t < states.size(); ++t) {
-        const auto a = graph->step(states[t], graph_rng);
-        const auto b = monolith->step(states[t], monolith_rng);
-        expect_identical_slot(
-            a, b, name + " seed=" + std::to_string(seed) +
-                      " slot=" + std::to_string(t));
-      }
-    }
-  }
-}
-
+// reset() must return every assembly to its freshly constructed state:
+// queue, BDMA workspaces, MPC trend estimators and per-stage stats. A run
+// after reset() repeats the first run bit for bit, slot by slot — long
+// enough (mpc.period = 4) that MPC's reset has forecasting state to forget.
 TEST(Pipeline, ResetRestartsTheGraphExactly) {
   Scenario scenario(tiny(7));
-  const auto states = scenario.generate_states(4);
-  auto policy = make_policy("dpp-bdma", scenario.instance(), fast_params());
-  const auto first = run_policy(*policy, states, 3);
-  const auto second = run_policy(*policy, states, 3);  // reset() inside
-  EXPECT_EQ(first.metrics.average_latency(), second.metrics.average_latency());
-  EXPECT_EQ(first.counters, second.counters);
+  const auto states = scenario.generate_states(10);
+  const PolicyParams params = fast_params();
+  for (const auto& name : registered_policies()) {
+    auto policy = make_policy(name, scenario.instance(), params);
+    std::vector<core::DppSlotResult> first;
+    util::Rng first_rng(3);
+    for (const auto& state : states) {
+      first.push_back(policy->step(state, first_rng));
+    }
+    const auto first_stats = policy->stage_stats();
+    policy->reset();
+    util::Rng second_rng(3);
+    for (std::size_t t = 0; t < states.size(); ++t) {
+      expect_identical_slot(first[t], policy->step(states[t], second_rng),
+                            name + " slot=" + std::to_string(t));
+    }
+    const auto second_stats = policy->stage_stats();
+    ASSERT_EQ(first_stats.size(), second_stats.size()) << name;
+    for (std::size_t i = 0; i < first_stats.size(); ++i) {
+      EXPECT_EQ(first_stats[i].runs, second_stats[i].runs) << name;
+      EXPECT_EQ(first_stats[i].counters, second_stats[i].counters) << name;
+    }
+  }
 }
 
 TEST(Pipeline, StageCountersSumExactlyToRunTotals) {

@@ -50,7 +50,7 @@ TEST(Registry, PolicyTracksQueueOnlyForTheDppFamily) {
   EXPECT_TRUE(policy_tracks_queue("dpp-bdma"));
 }
 
-TEST(Registry, BetaOnlyPolicyRespectsTheBudgetOracleShape) {
+TEST(Registry, BetaOnlyRespectsTheBudgetOracleShape) {
   Scenario scenario(tiny());
   const auto states = scenario.generate_states(3);
   auto policy = make_policy("beta-only", scenario.instance(), fast_params());

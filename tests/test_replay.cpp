@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "sim/policy.h"
+#include "sim/pipeline/assemblies.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -59,9 +59,9 @@ TEST_F(ReplayTest, ReplayDrivesIdenticalSimulation) {
   const auto loaded = load_states(path_);
   core::DppConfig config;
   config.bdma.iterations = 2;
-  DppPolicy policy(scenario.instance(), config);
-  const auto original = run_policy(policy, states, 9);
-  const auto replayed = run_policy(policy, loaded, 9);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
+  const auto original = run_policy(*policy, states, 9);
+  const auto replayed = run_policy(*policy, loaded, 9);
   EXPECT_EQ(original.metrics.latency_series(),
             replayed.metrics.latency_series());
   EXPECT_EQ(original.metrics.queue_series(), replayed.metrics.queue_series());

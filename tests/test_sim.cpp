@@ -4,7 +4,8 @@
 
 #include <sstream>
 
-#include "sim/policy.h"
+#include "sim/pipeline/assemblies.h"
+#include "sim/registry.h"
 #include "sim/report.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -111,8 +112,9 @@ TEST(Simulator, RunsAllPolicyKinds) {
     config.bdma.solver = kind;
     config.bdma.iterations = 2;
     config.bdma.mcba.iterations = 300;
-    DppPolicy policy(scenario.instance(), config);
-    results.push_back(run_policy(policy, states));
+    const auto policy =
+        pipeline::make_dpp_pipeline(scenario.instance(), config);
+    results.push_back(run_policy(*policy, states));
     EXPECT_EQ(results.back().metrics.slots(), 24u);
     EXPECT_GT(results.back().metrics.average_latency(), 0.0);
   }
@@ -130,9 +132,9 @@ TEST(Simulator, DeterministicGivenSeed) {
   const auto states = scenario.generate_states(12);
   core::DppConfig config;
   config.bdma.iterations = 2;
-  DppPolicy policy(scenario.instance(), config);
-  const auto a = run_policy(policy, states, 5);
-  const auto b = run_policy(policy, states, 5);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
+  const auto a = run_policy(*policy, states, 5);
+  const auto b = run_policy(*policy, states, 5);
   EXPECT_EQ(a.metrics.latency_series(), b.metrics.latency_series());
   EXPECT_EQ(a.metrics.queue_series(), b.metrics.queue_series());
 }
@@ -145,11 +147,12 @@ TEST(Simulator, ResetHappensBetweenRuns) {
   const auto states = tight_scenario.generate_states(12);
   core::DppConfig config;
   config.bdma.iterations = 1;
-  DppPolicy policy(tight_scenario.instance(), config);
-  const auto first = run_policy(policy, states);
+  const auto policy =
+      pipeline::make_dpp_pipeline(tight_scenario.instance(), config);
+  const auto first = run_policy(*policy, states);
   // Queue grew during the first run...
-  EXPECT_GT(policy.queue(), 0.0);
-  const auto second = run_policy(policy, states);
+  EXPECT_GT(first.metrics.queue_series().back(), 0.0);
+  const auto second = run_policy(*policy, states);
   // ...but reset() gave the second run the same trajectory.
   EXPECT_EQ(first.metrics.queue_series(), second.metrics.queue_series());
 }
@@ -159,8 +162,8 @@ TEST(Simulator, TailAveragesMatchManualComputation) {
   const auto states = scenario.generate_states(10);
   core::DppConfig config;
   config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
-  const auto result = run_policy(policy, states);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
+  const auto result = run_policy(*policy, states);
   const auto tail = tail_averages(result, 4);
   const auto& series = result.metrics.latency_series();
   double expected = 0.0;
@@ -173,16 +176,17 @@ TEST(Simulator, TailAveragesMatchManualComputation) {
 TEST(FixedFrequency, RunsAndRespectsFraction) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(6);
-  FixedFrequencyPolicy max_policy(scenario.instance(), 1.0);
-  FixedFrequencyPolicy min_policy(scenario.instance(), 0.0);
-  const auto fast = run_policy(max_policy, states);
-  const auto slow = run_policy(min_policy, states);
+  const auto max_policy = make_policy("fixed-max", scenario.instance());
+  const auto min_policy = make_policy("fixed-min", scenario.instance());
+  const auto fast = run_policy(*max_policy, states);
+  const auto slow = run_policy(*min_policy, states);
   // Full frequency: lower latency, higher energy cost.
   EXPECT_LT(fast.metrics.average_latency(), slow.metrics.average_latency());
   EXPECT_GT(fast.metrics.average_energy_cost(),
             slow.metrics.average_energy_cost());
-  EXPECT_THROW(FixedFrequencyPolicy(scenario.instance(), 1.5),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)pipeline::make_fixed_frequency_pipeline(scenario.instance(), 1.5),
+      std::invalid_argument);
 }
 
 TEST(Report, PrintsComparisonAndScenario) {
@@ -190,8 +194,8 @@ TEST(Report, PrintsComparisonAndScenario) {
   const auto states = scenario.generate_states(4);
   core::DppConfig config;
   config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
-  const auto result = run_policy(policy, states);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), config);
+  const auto result = run_policy(*policy, states);
   std::ostringstream oss;
   print_comparison(oss, {result}, scenario.config().budget_per_slot);
   EXPECT_NE(oss.str().find("BDMA-based DPP"), std::string::npos);
@@ -221,9 +225,9 @@ TEST(ScenarioVariants, GaussMarkovAndLogDistanceChannelWork) {
   Scenario scenario(config);
   core::DppConfig dpp;
   dpp.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), dpp);
+  const auto policy = pipeline::make_dpp_pipeline(scenario.instance(), dpp);
   const auto states = scenario.generate_states(24);
-  const auto result = run_policy(policy, states);
+  const auto result = run_policy(*policy, states);
   EXPECT_EQ(result.metrics.slots(), 24u);
   EXPECT_GT(result.metrics.average_latency(), 0.0);
 }

@@ -2,8 +2,9 @@
 //
 // How much of the P2 objective does the CGBA <-> P2-B alternation recover
 // after one round, and when does it saturate? Averages the objective over
-// several slots of the paper scenario per z, plus the per-slot decision
-// time, so users can pick z for their latency budget.
+// several slots of the paper scenario per z, plus the P2-A solves BDMA
+// actually runs (it stops at the fixed point, before z) and the per-slot
+// decision time, so users can pick z for their latency budget.
 #include <iostream>
 
 #include "eotora/eotora.h"
@@ -25,10 +26,12 @@ int main() {
             << states.size() << " slots)\n\n";
 
   util::Table table({"z", "objective V*T + Q*Theta", "latency (s)",
-                     "decision ms"});
+                     "P2-A solves/slot", "decision ms"});
   for (std::size_t z : {1u, 2u, 3u, 5u, 8u}) {
     double objective = 0.0;
     double latency = 0.0;
+    core::counters::SolverCounters counters;
+    const core::counters::Scope scope(counters);
     util::Timer timer;
     for (const auto& state : states) {
       util::Rng rng(17);  // identical randomization across z values
@@ -39,13 +42,18 @@ int main() {
       latency += result.latency;
     }
     const double n = static_cast<double>(states.size());
-    table.add_numeric_row({static_cast<double>(z), objective / n,
-                           latency / n, timer.elapsed_ms() / n},
-                          3);
+    const double elapsed_ms = timer.elapsed_ms();
+    table.add_numeric_row(
+        {static_cast<double>(z), objective / n, latency / n,
+         static_cast<double>(counters.bdma_iterations) / n, elapsed_ms / n},
+        3);
   }
   table.print(std::cout);
   std::cout << "\nreading: the objective is monotone nonincreasing in z "
                "(Algorithm 2 keeps the best pair); most of the gain arrives "
-               "by z = 2-3, so the paper's z = 5 is a safe default.\n";
+               "by z = 2-3, so the paper's z = 5 is a safe default. BDMA "
+               "stops once a warm CGBA pass moves no device, so P2-A "
+               "solves/slot saturates with the objective and a larger z "
+               "costs no extra solves.\n";
   return 0;
 }

@@ -344,9 +344,15 @@ int main(int argc, char** argv) {
     }
 
     sim::SimulationResult result;
-    if (args.has("log") && stream) {
-      // Manual streaming loop: each slot is logged straight to disk (and
-      // audited in-line); only aggregates are kept in memory.
+    if (args.has("log")) {
+      // Manual loop: each slot is logged straight to disk (and audited
+      // in-line); only aggregates are kept in memory. The three phases are
+      // timed as run_policy times them.
+      std::unique_ptr<sim::MaterializedSource> materialized;
+      if (!stream) {
+        materialized = std::make_unique<sim::MaterializedSource>(states);
+        source = materialized.get();
+      }
       policy->reset();
       util::Rng rng(1);
       result.policy_name = policy->name();
@@ -356,44 +362,30 @@ int main(int argc, char** argv) {
       core::SlotState state;
       core::DppSlotResult slot;
       util::Timer timer;
-      while (source->next(state)) {
+      for (;;) {
+        timer.reset();
+        const bool have_state = source->next(state);
+        result.state_seconds += timer.elapsed_seconds();
+        if (!have_state) break;
         {
-          // Scope only the decision, matching run_policy: audit-time
-          // re-solves must not pollute the counters.
+          // Scope and time only the decision, matching run_policy:
+          // audit-time re-solves must not pollute the counters.
           const core::counters::Scope scope(result.counters);
+          timer.reset();
           slot = policy->step(state, rng);
+          result.decision_seconds += timer.elapsed_seconds();
         }
         result.metrics.record(slot);
         log.record(state, slot);
-        if (auditing) auditor.observe(state, slot);
+        if (auditing) {
+          timer.reset();
+          auditor.observe(state, slot);
+          result.audit_seconds += timer.elapsed_seconds();
+        }
       }
-      result.wall_seconds = timer.elapsed_seconds();
       result.stages = policy->stage_stats();
       result.audit = auditor.report();
       log.close();
-      std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
-    } else if (args.has("log")) {
-      // Manual loop so each slot can be logged (and audited in-line).
-      policy->reset();
-      util::Rng rng(1);
-      result.policy_name = policy->name();
-      sim::DecisionLog log;
-      sim::SlotAuditor auditor(*instance, audit);
-      core::DppSlotResult slot;
-      util::Timer timer;
-      for (const auto& state : states) {
-        {
-          const core::counters::Scope scope(result.counters);
-          slot = policy->step(state, rng);
-        }
-        result.metrics.record(slot);
-        log.record(state, slot);
-        if (auditing) auditor.observe(state, slot);
-      }
-      result.wall_seconds = timer.elapsed_seconds();
-      result.stages = policy->stage_stats();
-      result.audit = auditor.report();
-      log.save(args.get("log", ""));
       std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
     } else if (stream) {
       // keep_series=false keeps the run O(1) in the horizon; the printed

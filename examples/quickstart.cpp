@@ -40,7 +40,7 @@ int main() {
             << result.metrics.average_energy_cost() << " per slot (budget $"
             << config.budget_per_slot << ")\n"
             << "  final queue backlog      : " << queue_series.back() << "\n"
-            << "  decision time            : " << result.wall_seconds
+            << "  decision time            : " << result.decision_seconds
             << " s total\n";
 
   // 5. A peek at the last slot's decision.

@@ -20,6 +20,7 @@ void bdma_begin_slot(const Instance& instance, const SlotState& state,
   loop.previous = SolveResult{};
   loop.best = BdmaResult{};
   loop.best.objective = std::numeric_limits<double>::infinity();
+  loop.fixed_point = false;
 }
 
 void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
@@ -27,6 +28,12 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
                       util::Rng& rng, BdmaWorkspace& workspace,
                       BdmaLoopState& loop) {
   (void)state;
+  // At the fixed point this iteration would repeat the last one bit for
+  // bit (see bdma.h): run no solve and count none.
+  if (loop.fixed_point) {
+    loop.p2a_shard_counters.clear();
+    return;
+  }
   counters::active().bdma_iterations += 1;
   WcgProblem& problem = workspace.problem;
   // bdma_begin_slot already installed Ω^L; only re-derive the compute
@@ -35,6 +42,9 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
   // This iterate's sharding telemetry (stays 0/empty on the global paths).
   loop.p2a_shards = 0;
   loop.p2a_shard_counters.clear();
+  // CGBA warm-starts every iteration after the first from the last profile.
+  const bool warm = config.solver == P2aSolverKind::kCgba && iteration > 0 &&
+                    !loop.previous.profile.empty();
   const auto record_shards = [&loop](ShardedResult&& sharded) {
     loop.p2a = std::move(sharded.result);
     loop.p2a_shards = sharded.shards;
@@ -45,18 +55,17 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
     case P2aSolverKind::kCgba:
       if (config.cgba.shard_workers > 0) {
         record_shards(
-            (iteration == 0 || loop.previous.profile.empty())
-                ? cgba_sharded(problem, config.cgba, rng,
-                               config.cgba.shard_workers, &workspace.sharded)
-                : cgba_sharded_from(problem, config.cgba,
-                                    loop.previous.profile,
-                                    config.cgba.shard_workers,
-                                    &workspace.sharded));
+            warm ? cgba_sharded_from(problem, config.cgba,
+                                     loop.previous.profile,
+                                     config.cgba.shard_workers,
+                                     &workspace.sharded)
+                 : cgba_sharded(problem, config.cgba, rng,
+                                config.cgba.shard_workers,
+                                &workspace.sharded));
       } else {
-        loop.p2a =
-            (iteration == 0 || loop.previous.profile.empty())
-                ? cgba(problem, config.cgba, rng)
-                : cgba_from(problem, config.cgba, loop.previous.profile);
+        loop.p2a = warm ? cgba_from(problem, config.cgba,
+                                    loop.previous.profile)
+                        : cgba(problem, config.cgba, rng);
       }
       break;
     case P2aSolverKind::kMcba:
@@ -72,6 +81,10 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
       loop.p2a = ropt(problem, rng);
       break;
   }
+  // A warm CGBA pass that moved no device left the profile, hence Ω and
+  // every later iteration, unchanged. MCBA and ROPT draw from `rng` on every
+  // iteration, so they always run all z.
+  loop.fixed_point = warm && loop.p2a.iterations == 0;
   loop.previous = loop.p2a;
   loop.best.p2a_iterations += loop.p2a.iterations;
   loop.assignment = problem.to_assignment(loop.p2a.profile);
@@ -96,6 +109,7 @@ void p2b_track_best(BdmaLoopState& loop, const P2bResult& p2b) {
 void bdma_p2b_iterate(const Instance& instance, const SlotState& state,
                       double v, double q, const BdmaConfig& config,
                       BdmaWorkspace& workspace, BdmaLoopState& loop) {
+  if (loop.fixed_point) return;
   // Line 4: solve P2-B at the fixed assignment. The per-server loads come
   // from the workspace problem's option arena (same bits as the sqrt-chain
   // recompute), and the bisection lanes reuse the workspace buffers.
@@ -109,6 +123,7 @@ void bdma_p2b_iterate(const Instance& instance, const SlotState& state,
                       double v, double q, const BdmaConfig& config,
                       P2bWorkspace& p2b_workspace, P2bResult& p2b_result,
                       BdmaLoopState& loop) {
+  if (loop.fixed_point) return;
   solve_p2b(instance, state, loop.assignment, v, q, config.freq_tolerance,
             p2b_workspace, p2b_result);
   p2b_track_best(loop, p2b_result);

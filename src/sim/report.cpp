@@ -18,7 +18,7 @@ void print_comparison(std::ostream& os,
                    util::format_double(
                        r.metrics.average_energy_cost() / budget_per_slot, 3),
                    util::format_double(r.metrics.average_queue(), 4),
-                   util::format_double(r.wall_seconds, 3)});
+                   util::format_double(r.decision_seconds, 3)});
   }
   os << table.to_ascii();
 }

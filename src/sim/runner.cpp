@@ -232,7 +232,7 @@ SweepCell run_cell(const SweepSpec& spec, const AxisAssignment& assignment,
     avg_latency.add(result.metrics.average_latency());
     avg_cost.add(result.metrics.average_energy_cost());
     avg_backlog.add(result.metrics.average_queue());
-    cell.decision_seconds += result.wall_seconds;
+    cell.decision_seconds += result.decision_seconds;
     cell.state_seconds += result.state_seconds;
     cell.audit_seconds += result.audit_seconds;
     cell.counters.merge(result.counters);

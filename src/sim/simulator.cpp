@@ -59,7 +59,7 @@ SimulationResult run_policy_stream(Policy& policy,
       slot = policy.step(state, rng);
       decision_seconds += timer.elapsed_seconds();
     }
-    // Phase 3: audit (optional; excluded from wall_seconds).
+    // Phase 3: audit (optional; excluded from decision_seconds).
     if (auditor != nullptr) {
       EOTORA_TRACE_SPAN("slot/audit");
       timer.reset();
@@ -70,7 +70,7 @@ SimulationResult run_policy_stream(Policy& policy,
   }
   EOTORA_REQUIRE_MSG(result.metrics.slots() > 0,
                      "state source produced no slots");
-  result.wall_seconds = decision_seconds;
+  result.decision_seconds = decision_seconds;
   result.state_seconds = state_seconds;
   result.audit_seconds = audit_seconds;
   result.stages = policy.stage_stats();

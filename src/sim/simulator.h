@@ -28,7 +28,7 @@ struct SimulationResult {
   // Total decision-making time: the summed per-slot policy.step() cost.
   // State generation, prefetch, audit, and metric bookkeeping are excluded,
   // so streaming and materialized runs report comparable numbers.
-  double wall_seconds = 0.0;
+  double decision_seconds = 0.0;
   // The other two per-slot phases, so a run's time fully decomposes:
   // state_seconds is spent pulling slots from the source (generation,
   // replay parsing, or prefetch wait), audit_seconds inside the auditor.
@@ -60,7 +60,7 @@ struct SimulationResult {
 
 // Same loop, with every slot fed through a SlotAuditor bound to `instance`
 // (the mode in `audit` decides how many are actually checked). Audit time
-// is excluded from wall_seconds.
+// is excluded from decision_seconds.
 [[nodiscard]] SimulationResult run_policy(Policy& policy,
                                           const core::Instance& instance,
                                           StateSource& source,

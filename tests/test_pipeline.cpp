@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/bdma.h"
+#include "core/lemma1.h"
 #include "sim/pipeline/assemblies.h"
 #include "sim/pipeline/stages.h"
 #include "sim/policy_params.h"
@@ -124,6 +127,111 @@ TEST(Pipeline, LoopStagesRunOncePerBdmaIterationPerSlot) {
         states.size() * (in_loop ? params.bdma_iterations : 1);
     EXPECT_EQ(stage.runs, expected) << stage.name;
   }
+}
+
+// Drives the four core::bdma_* entry points z times per slot by hand, the
+// way a caller that times each half does, with the decision-out and queue
+// steps written out. Decisions and solver counters must match the dpp-bdma
+// graph slot by slot; the fixed-point exit lives inside the iterate halves,
+// so both drivers skip the same iterations. `expected_shards` is the
+// component count of the sharded P2-A solves (0 when unsharded). Returns
+// the hand loop's BDMA iteration total.
+std::uint64_t expect_hand_loop_matches_policy(const ScenarioConfig& config,
+                                              std::size_t slots,
+                                              const PolicyParams& params,
+                                              std::size_t expected_shards) {
+  Scenario scenario(config);
+  const auto states = scenario.generate_states(slots);
+  const core::Instance& instance = scenario.instance();
+  auto policy = make_policy("dpp-bdma", instance, params);
+  const core::DppConfig dpp =
+      dpp_config_from(params, core::P2aSolverKind::kCgba);
+  core::BdmaWorkspace workspace;
+  core::BdmaLoopState loop;
+  core::Lemma1Workspace lemma1;
+  double queue = dpp.initial_queue;
+  util::Rng policy_rng(3);
+  util::Rng hand_rng(3);
+  std::uint64_t iterations = 0;
+  for (std::size_t t = 0; t < states.size(); ++t) {
+    const core::SlotState& state = states[t];
+    core::counters::SolverCounters by_policy;
+    core::counters::SolverCounters by_hand;
+    core::DppSlotResult expected;
+    {
+      const core::counters::Scope scope(by_policy);
+      expected = policy->step(state, policy_rng);
+    }
+    core::DppSlotResult got;
+    {
+      const core::counters::Scope scope(by_hand);
+      got.queue_before = queue;
+      core::bdma_begin_slot(instance, state, workspace, loop);
+      for (std::size_t iter = 0; iter < dpp.bdma.iterations; ++iter) {
+        core::bdma_p2a_iterate(instance, state, dpp.bdma, iter, hand_rng,
+                               workspace, loop);
+        core::bdma_p2b_iterate(instance, state, dpp.v, queue, dpp.bdma,
+                               workspace, loop);
+      }
+      core::bdma_finish_slot(instance, state, loop);
+      const core::BdmaResult& best = loop.best;
+      core::optimal_allocation(instance, state, best.assignment, lemma1,
+                               got.decision.allocation);
+      got.decision.assignment = best.assignment;
+      got.decision.frequencies = best.frequencies;
+      got.latency = best.latency;
+      got.theta = best.theta;
+      got.energy_cost = best.theta + instance.budget_per_slot();
+      got.objective = best.objective;
+      got.p2a_iterations = best.p2a_iterations;
+      queue = std::max(queue + best.theta, 0.0);  // Eq. (21)
+      got.queue_after = queue;
+    }
+    const std::string context = "slot=" + std::to_string(t);
+    expect_identical_slot(expected, got, context);
+    EXPECT_EQ(by_policy, by_hand) << context;
+    iterations += by_hand.bdma_iterations;
+  }
+  // A no-op P2-A call adds no per-shard effort, so the per-component
+  // breakdown still sums to the stage totals.
+  for (const StageStats& stage : policy->stage_stats()) {
+    if (stage.name != "p2a_solve") continue;
+    EXPECT_EQ(stage.shards.size(), expected_shards);
+    if (stage.shards.empty()) continue;
+    core::counters::SolverCounters summed;
+    for (const auto& shard : stage.shards) summed.merge(shard);
+    EXPECT_EQ(summed.cgba_rounds, stage.counters.cgba_rounds) << stage.name;
+    EXPECT_EQ(summed.cgba_moves, stage.counters.cgba_moves) << stage.name;
+    EXPECT_EQ(summed.engine_rebuilds, stage.counters.engine_rebuilds)
+        << stage.name;
+    EXPECT_EQ(summed.engine_term_refreshes,
+              stage.counters.engine_term_refreshes)
+        << stage.name;
+  }
+  return iterations;
+}
+
+TEST(Pipeline, HandDrivenBdmaLoopMatchesPolicyPaperScale) {
+  PolicyParams params;  // z = 5, V = 100 on the §VI-A scenario
+  const std::size_t slots = 6;
+  const std::uint64_t iterations =
+      expect_hand_loop_matches_policy(ScenarioConfig{}, slots, params, 0);
+  // The exit fired somewhere, so the comparison covers the no-op halves.
+  EXPECT_LT(iterations, params.bdma_iterations * slots);
+}
+
+TEST(Pipeline, HandDrivenBdmaLoopMatchesPolicySharded) {
+  ScenarioConfig config;
+  config.devices = 640;
+  config.metro_districts = 64;
+  config.servers_per_cluster = 2;
+  PolicyParams params;
+  params.shard_workers = 1;
+  const std::size_t slots = 2;
+  const std::uint64_t iterations =
+      expect_hand_loop_matches_policy(config, slots, params,
+                                      config.metro_districts);
+  EXPECT_LT(iterations, params.bdma_iterations * slots);
 }
 
 TEST(Pipeline, AuditTapFiresOncePerSlot) {

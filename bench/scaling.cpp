@@ -82,6 +82,8 @@ void run_streaming_study(const std::string& out_path, long slots_max,
       record["avg_cost"] = cell.avg_cost;
       record["avg_backlog"] = cell.avg_backlog;
       // Wall-clock and memory fields: NOT deterministic across machines.
+      record["setup_seconds"] = cell.setup_seconds;
+      record["state_seconds"] = cell.state_seconds;
       record["decision_seconds"] = cell.decision_seconds;
       record["wall_seconds"] = cell.wall_seconds;
       record["slots_per_sec"] =
@@ -223,6 +225,8 @@ void run_metro_study(const std::string& out_path, long devices_max,
       }
       record["stages"] = std::move(stages_json);
       // Wall-clock fields: NOT deterministic across machines.
+      record["setup_seconds"] = cell.setup_seconds;
+      record["state_seconds"] = cell.state_seconds;
       record["decision_seconds"] = cell.decision_seconds;
       record["wall_seconds"] = cell.wall_seconds;
       if (workers == 0) {

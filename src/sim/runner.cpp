@@ -203,20 +203,23 @@ SweepCell run_cell(const SweepSpec& spec, const AxisAssignment& assignment,
     ScenarioConfig seeded = config;
     seeded.seed = config.seed + r;
     SimulationResult result;
+    util::Timer setup_timer;
     if (spec.stream) {
       // Pull states slot-by-slot; the generated sequence is identical to
       // generate_states on the same seed, so every deterministic field
       // below matches the materialized branch bit-for-bit.
       ScenarioSource source(seeded, spec.horizon);
       auto policy = make_policy(policy_name, source.instance(), params);
+      cell.setup_seconds += setup_timer.elapsed_seconds();
       result = audit.mode == AuditMode::kOff
                    ? run_policy(*policy, source, 1 + r)
                    : run_policy(*policy, source.instance(), source, audit,
                                 1 + r);
     } else {
       Scenario scenario(seeded);
-      const auto states = scenario.generate_states(spec.horizon);
       auto policy = make_policy(policy_name, scenario.instance(), params);
+      cell.setup_seconds += setup_timer.elapsed_seconds();
+      const auto states = scenario.generate_states(spec.horizon);
       result = audit.mode == AuditMode::kOff
                    ? run_policy(*policy, states, 1 + r)
                    : run_policy(*policy, scenario.instance(), states, audit,
@@ -435,6 +438,7 @@ util::Json SweepResult::to_json() const {
     }
     record["stages"] = std::move(stages_json);
     // Wall-clock fields: NOT deterministic; strip before diffing records.
+    record["setup_seconds"] = cell.setup_seconds;
     record["decision_seconds"] = cell.decision_seconds;
     record["state_seconds"] = cell.state_seconds;
     record["audit_seconds"] = cell.audit_seconds;

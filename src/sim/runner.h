@@ -91,6 +91,7 @@ struct SweepCell {
   double avg_latency = 0.0;   // full-horizon averages, mean over seeds
   double avg_cost = 0.0;
   double avg_backlog = 0.0;
+  double setup_seconds = 0.0;     // summed scenario + policy construction
   double decision_seconds = 0.0;  // summed policy decision time (run_policy)
   double state_seconds = 0.0;     // summed state-pull time across seeds
   double audit_seconds = 0.0;     // summed auditor time across seeds
@@ -129,7 +130,8 @@ struct SweepResult {
   [[nodiscard]] util::Table table() const;
 
   // The machine-readable artifact. Every field is deterministic for a
-  // given spec except the wall-clock ones ("decision_seconds",
+  // given spec except the wall-clock ones ("setup_seconds",
+  // "decision_seconds", "state_seconds", "audit_seconds",
   // "wall_seconds" per record, "seconds" inside each "stages" entry,
   // "wall_seconds" at the top level) and the provenance stamps ("commit",
   // "build_type"), which track the producing build rather than the spec.

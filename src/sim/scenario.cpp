@@ -6,6 +6,7 @@
 #include "energy/fit.h"
 #include "topology/builder.h"
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace eotora::sim {
 
@@ -13,10 +14,11 @@ namespace {
 
 // The metro layout (ScenarioConfig::metro_districts): a square grid of
 // self-contained districts. Also fills `device_boxes` with each device's
-// waypoint confinement box so the caller can install it on the mobility
-// process. All geometric constants are fractions of the (square) tile side:
-// station jitter ±0.05, coverage 0.57, device inner box [0.15, 0.85] — see
-// the coverage/exclusion margins derived in scenario.h.
+// confinement box (metro_device_boxes) so the caller can install it on the
+// mobility process and the channel model. All geometric constants are
+// fractions of the (square) tile side: station jitter ±0.05, coverage 0.57,
+// device inner box [0.15, 0.85] — see the coverage/exclusion margins
+// derived in scenario.h.
 std::shared_ptr<topology::Topology> build_metro_topology(
     const ScenarioConfig& config, util::Rng& rng,
     std::vector<topology::BoundingBox>& device_boxes) {
@@ -65,17 +67,9 @@ std::shared_ptr<topology::Topology> build_metro_topology(
     }
   }
 
-  device_boxes.clear();
-  device_boxes.reserve(config.devices);
+  device_boxes = metro_device_boxes(config);
   for (std::size_t i = 0; i < config.devices; ++i) {
-    const std::size_t d = i % districts;
-    const double origin_x = static_cast<double>(d % grid) * tile;
-    const double origin_y = static_cast<double>(d / grid) * tile;
-    const topology::BoundingBox box{origin_x + 0.15 * tile,
-                                    origin_y + 0.15 * tile,
-                                    origin_x + 0.85 * tile,
-                                    origin_y + 0.85 * tile};
-    device_boxes.push_back(box);
+    const topology::BoundingBox& box = device_boxes[i];
     builder.add_device("device-" + std::to_string(i),
                        topology::Point{rng.uniform(box.min_x, box.max_x),
                                        rng.uniform(box.min_y, box.max_y)},
@@ -162,7 +156,31 @@ std::shared_ptr<topology::Topology> build_topology(
 
 }  // namespace
 
+std::vector<topology::BoundingBox> metro_device_boxes(
+    const ScenarioConfig& config) {
+  const std::size_t districts = config.metro_districts;
+  EOTORA_REQUIRE(districts >= 1);
+  const std::size_t grid = static_cast<std::size_t>(
+      std::llround(std::sqrt(static_cast<double>(districts))));
+  EOTORA_REQUIRE_MSG(grid * grid == districts,
+                     "metro_districts=" << districts
+                                        << " must be a perfect square");
+  const double tile = config.region_m / static_cast<double>(grid);
+  std::vector<topology::BoundingBox> boxes;
+  boxes.reserve(config.devices);
+  for (std::size_t i = 0; i < config.devices; ++i) {
+    const std::size_t d = i % districts;
+    const double origin_x = static_cast<double>(d % grid) * tile;
+    const double origin_y = static_cast<double>(d / grid) * tile;
+    boxes.push_back({origin_x + 0.15 * tile, origin_y + 0.15 * tile,
+                     origin_x + 0.85 * tile, origin_y + 0.85 * tile});
+  }
+  return boxes;
+}
+
 Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
+  // Topology, σ draws, traces, channel init and mobility: the whole set-up.
+  EOTORA_TRACE_SPAN("setup/scenario");
   EOTORA_REQUIRE(config.mobility_slot_seconds > 0.0);
   EOTORA_REQUIRE(config.mid_band_coverage_scale > 0.0);
   EOTORA_REQUIRE(config.churn.leave_probability >= 0.0 &&
@@ -225,8 +243,9 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   price_config.period = config.period;
   price_trace_ = std::make_unique<trace::PriceTrace>(price_config, price_rng);
 
+  // Metro boxes let the channel skip the links its geometry rules out.
   channel_ = std::make_unique<topology::ChannelModel>(
-      config.channel, *topology_, channel_rng);
+      config.channel, *topology_, channel_rng, device_boxes);
   // Devices move a bounded distance per slot (a few hundred meters at
   // pedestrian speed) so coverage changes gradually instead of resampling
   // uniformly every slot.

@@ -107,6 +107,12 @@ struct ScenarioConfig {
   Bursts bursts;
 };
 
+// The metro layout's per-device confinement boxes: device i lives in
+// district i % metro_districts, inside the tile's inner box [0.15, 0.85]².
+// Requires metro_districts to be a nonzero perfect square.
+[[nodiscard]] std::vector<topology::BoundingBox> metro_device_boxes(
+    const ScenarioConfig& config);
+
 // A fully wired scenario: the topology, the immutable problem instance, and
 // the stateful generators. Use next_state() to draw β_1, β_2, ... — or
 // generate_states() to pre-draw a horizon so several policies can be

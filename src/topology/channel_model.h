@@ -6,8 +6,17 @@
 // with distance from the base station, plus per-pair AR(1) shadowing; the
 // result is clamped back into [h_min, h_max]. Devices outside a BS's
 // coverage get efficiency 0, which marks the link unusable.
+//
+// Never-coverable links. Given each device's confinement box, a (device, BS)
+// pair whose box provably lies outside the station's coverage has h = 0 in
+// every slot. The model keeps no shadowing state for such a pair and only
+// advances the rng past its draw (util::Rng::skip_normals), so the stream,
+// and with it every h, is bit-identical to a model built without boxes. A
+// metro district sees 2 of 128 stations at 64 districts, so this skips
+// almost all of the per-slot work there.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "topology/topology.h"
@@ -41,8 +50,11 @@ using ChannelMatrix = std::vector<std::vector<double>>;
 class ChannelModel {
  public:
   // Draws per-BS baselines and initializes shadowing states.
+  // `device_boxes` is empty (every pair is treated as coverable) or holds
+  // one box per device that the device never leaves; step_into fails fast
+  // if a device is found outside its box.
   ChannelModel(const ChannelConfig& config, const Topology& topology,
-               util::Rng rng);
+               util::Rng rng, std::vector<BoundingBox> device_boxes = {});
 
   // Advances shadowing one slot and evaluates h for the devices' current
   // positions. Requires the same topology shape the model was built with.
@@ -57,13 +69,29 @@ class ChannelModel {
     return base_efficiency_;
   }
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
+  // Pairs that keep shadowing state (I x K when built without boxes).
+  [[nodiscard]] std::size_t coverable_pairs() const {
+    return shadowing_.size();
+  }
+  [[nodiscard]] const util::Rng& rng() const { return rng_; }
 
  private:
+  // Draws device i's per-station normals in stream order: `draw(p, k)` for
+  // each coverable pair p (station k), skip_normals() for the ones between.
+  template <typename Draw>
+  void for_each_draw(std::size_t i, Draw&& draw);
+
   ChannelConfig config_;
   std::size_t num_devices_;
   std::size_t num_base_stations_;
-  std::vector<double> base_efficiency_;        // per BS
-  std::vector<std::vector<double>> shadowing_; // per (device, BS)
+  std::vector<double> base_efficiency_;  // per BS
+  std::vector<BoundingBox> device_boxes_;  // empty: nothing is skipped
+  // Coverable pairs, CSR by device: device i owns pairs
+  // [row_begin_[i], row_begin_[i + 1]), stations ascending, and shadowing_
+  // holds each pair's AR(1) state.
+  std::vector<std::size_t> row_begin_;
+  std::vector<std::uint32_t> station_of_;
+  std::vector<double> shadowing_;
   util::Rng rng_;
 };
 

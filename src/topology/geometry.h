@@ -35,4 +35,14 @@ struct Region {
   }
 };
 
+// Axis-aligned bounds one device stays inside: its waypoint box under
+// RandomWaypointMobility::set_bounding_boxes, and the region ChannelModel
+// uses to prove a station can never cover the device.
+struct BoundingBox {
+  double min_x = 0.0;
+  double min_y = 0.0;
+  double max_x = 0.0;
+  double max_y = 0.0;
+};
+
 }  // namespace eotora::topology

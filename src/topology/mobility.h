@@ -16,14 +16,6 @@ struct MobilityConfig {
   double pause_probability = 0.1; // chance of pausing a slot at a waypoint
 };
 
-// Axis-aligned waypoint bounds for one device (see set_bounding_boxes).
-struct BoundingBox {
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double max_x = 0.0;
-  double max_y = 0.0;
-};
-
 class RandomWaypointMobility {
  public:
   RandomWaypointMobility(const MobilityConfig& config, std::size_t num_devices,

@@ -283,6 +283,20 @@ TEST(CountersTest, TracingDoesNotPerturbResultsOrCounters) {
   EXPECT_EQ(traced.metrics.queue_series(), baseline.metrics.queue_series());
 }
 
+// Set-up is attributed: Scenario construction (topology, σ draws, channel
+// init) is one setup/scenario span, and sweep records carry its time.
+TEST(TraceTest, ScenarioConstructionIsSpanned) {
+  TraceGuard guard;
+  util::trace::set_enabled(true);
+  { const sim::Scenario scenario(tiny()); }
+  util::trace::set_enabled(false);
+  const util::Json doc = util::trace::to_chrome_json();
+  const util::Json& events = doc.at("traceEvents");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events.at(0).at("name").as_string(), "setup/scenario");
+  EXPECT_GT(events.at(0).at("dur").as_number(), 0.0);
+}
+
 // Phase timing decomposition: every phase a run actually executed reports
 // nonnegative time, and the decision phase is nonzero for real solvers.
 TEST(PhaseTimingTest, RunPolicyDecomposesTime) {

@@ -44,6 +44,7 @@ util::Json strip_timing(util::Json doc) {
   for (std::size_t i = 0; i < doc.at("records").size(); ++i) {
     util::Json record = doc.at("records").at(i);
     record.erase("wall_seconds");
+    record.erase("setup_seconds");
     record.erase("decision_seconds");
     record.erase("state_seconds");
     record.erase("audit_seconds");
@@ -309,7 +310,8 @@ TEST(Runner, TableMatchesCellsAndJsonSchema) {
        {"policy", "policy_label", "tail_latency", "tail_cost",
         "tail_backlog", "avg_latency", "avg_cost", "avg_backlog",
         "tail_latency_ci", "tail_latency_min", "tail_latency_max",
-        "decision_seconds", "wall_seconds", "budget", "v"}) {
+        "setup_seconds", "decision_seconds", "wall_seconds", "budget",
+        "v"}) {
     EXPECT_TRUE(record.contains(key)) << key;
   }
   // The dump parses back to the same document.

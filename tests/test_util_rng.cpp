@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace eotora::util {
@@ -141,6 +145,125 @@ TEST(Rng, ExponentialIsPositive) {
   for (int i = 0; i < 100; ++i) EXPECT_GT(rng.exponential(2.0), 0.0);
   EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
 }
+
+// Literal draws for seed 42, pinned on any standard library: the stream is
+// part of the golden contract (docs/TESTING.md), so a change to Mt19937_64 or
+// to any of Rng's conversions fails here before it moves a fixture.
+TEST(Rng, PinnedDrawsForSeed42) {
+  Rng rng(42);
+  EXPECT_EQ(rng.engine()(), 0xC151DF7D6EE5E2D6ull);
+  EXPECT_EQ(rng.engine()(), 0xA3978FB9B92502A8ull);
+  EXPECT_EQ(rng.engine()(), 0xC08C967F0E5E7B0Aull);
+  EXPECT_EQ(rng.uniform(0.0, 1.0), 0x1.171621fc50d6ap-3);
+  EXPECT_EQ(rng.uniform(-3.0, 5.0), 0x1.0e79451c9a6c3p+2);
+  EXPECT_EQ(rng.normal(), 0x1.4421e89b91959p-3);
+  EXPECT_EQ(rng.normal(10.0, 2.0), 0x1.cb39919427f4p+2);
+  EXPECT_TRUE(rng.bernoulli(0.5));
+  EXPECT_EQ(rng.exponential(2.0), 0x1.984ab27b98ddap-8);
+  EXPECT_EQ(rng.index(10), 5u);
+  Rng child = rng.fork();
+  EXPECT_TRUE(child.engine() == Rng(0x7ED8BA578DFA7CDBull).engine());
+  EXPECT_EQ(Rng().engine()(), 0xFC1CAB57D3E7BFF9ull);
+}
+
+TEST(Rng, SkipNormalsConsumesWhatNormalDoes) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    for (std::size_t count = 0; count < 300; ++count) {
+      for (std::size_t i = 0; i < count; ++i) (void)drawn.normal(3.0, 2.0);
+      skipped.skip_normals(count);
+      ASSERT_TRUE(drawn.engine() == skipped.engine()) << seed << " " << count;
+    }
+  }
+}
+
+TEST(Rng, EngineEqualityTracksPosition) {
+  Rng a(5);
+  Rng b(5);
+  EXPECT_TRUE(a.engine() == b.engine());
+  (void)a.engine()();
+  EXPECT_FALSE(a.engine() == b.engine());
+  (void)b.engine()();
+  EXPECT_TRUE(a.engine() == b.engine());
+}
+
+#ifdef __GLIBCXX__
+// Rng re-implements libstdc++'s MT19937-64 and <random> distributions for
+// speed; every call must return the bits the std:: types return on
+// std::mt19937_64. Calls are interleaved at random so a divergence in how
+// many engine outputs one call consumes shows up in every later call.
+TEST(Rng, StreamMatchesStandardLibrary) {
+  constexpr int kCalls = 100000;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed * 0x9E3779B97F4A7C15ull);
+    std::mt19937_64 ref(seed * 0x9E3779B97F4A7C15ull);
+    std::mt19937_64 chooser(seed);
+    std::uniform_real_distribution<double> param(0.0, 1.0);
+    for (int call = 0; call < kCalls; ++call) {
+      const auto op = chooser() % 7;
+      const double a = param(chooser);
+      const double b = param(chooser);
+      switch (op) {
+        case 0: {
+          const double lo = -100.0 * a;
+          const double hi = lo + 1000.0 * b;
+          ASSERT_EQ(bits(rng.uniform(lo, hi)),
+                    bits(std::uniform_real_distribution<double>(lo, hi)(ref)))
+              << "seed " << seed << " call " << call;
+          break;
+        }
+        case 1:
+          ASSERT_EQ(bits(rng.normal()),
+                    bits(std::normal_distribution<double>(0.0, 1.0)(ref)))
+              << "seed " << seed << " call " << call;
+          break;
+        case 2: {
+          const double mean = 50.0 * (a - 0.5);
+          const double stddev = 5.0 * b;
+          ASSERT_EQ(bits(rng.normal(mean, stddev)),
+                    bits(std::normal_distribution<double>(mean, stddev)(ref)))
+              << "seed " << seed << " call " << call;
+          break;
+        }
+        case 3:
+          ASSERT_EQ(rng.bernoulli(a), std::bernoulli_distribution(a)(ref))
+              << "seed " << seed << " call " << call;
+          break;
+        case 4: {
+          const double rate = 0.01 + 10.0 * a;
+          ASSERT_EQ(bits(rng.exponential(rate)),
+                    bits(std::exponential_distribution<double>(rate)(ref)))
+              << "seed " << seed << " call " << call;
+          break;
+        }
+        case 5: {
+          const auto size = 1 + static_cast<std::size_t>(b * 1e6);
+          ASSERT_EQ(rng.index(size),
+                    static_cast<std::size_t>(
+                        std::uniform_int_distribution<std::int64_t>(
+                            0, static_cast<std::int64_t>(size) - 1)(ref)))
+              << "seed " << seed << " call " << call;
+          break;
+        }
+        default: {
+          Rng child = rng.fork();
+          std::mt19937_64 ref_child(ref() ^ 0xD1B54A32D192ED03ull);
+          ASSERT_EQ(child.engine()(), ref_child()) << "seed " << seed << " call " << call;
+          break;
+        }
+      }
+    }
+    // Final engine states: the next kStateSize raw outputs pin the whole
+    // state (tempering is invertible), and the two extra rounds cross a
+    // twist boundary.
+    for (std::size_t i = 0; i < 3 * Mt19937_64::kStateSize; ++i) {
+      ASSERT_EQ(rng.engine()(), ref()) << "seed " << seed << " tail " << i;
+    }
+  }
+}
+#endif  // __GLIBCXX__
 
 }  // namespace
 }  // namespace eotora::util

@@ -46,6 +46,8 @@ struct CellResult {
   std::size_t events_ps_poisson = 0;
   std::size_t spillovers_ps = 0;
   std::size_t spillovers_ps_poisson = 0;
+  double setup_seconds = 0.0;  // scenario + policy construction
+  double state_seconds = 0.0;  // summed source.next() time
 };
 
 }  // namespace
@@ -79,12 +81,15 @@ int main(int argc, char** argv) {
         sim::apply_scenario_preset(scenario_name, config);
         config.devices = devices;
         config.seed = seed;
+        CellResult cell;
+        util::Timer timer;
         sim::ScenarioSource source(config, horizon);
         const core::Instance& instance = source.instance();
 
         sim::PolicyParams params;
         params.bdma_iterations = 3;
         const auto policy = sim::make_policy(policy_name, instance, params);
+        cell.setup_seconds = timer.elapsed_seconds();
 
         des::HorizonConfig fixed_config;
         fixed_config.discipline = des::SharingDiscipline::kStaticShares;
@@ -103,7 +108,11 @@ int main(int argc, char** argv) {
         policy->reset();
         util::Rng rng(1);
         core::SlotState state;
-        while (source.next(state)) {
+        for (;;) {
+          timer.reset();
+          const bool have_state = source.next(state);
+          cell.state_seconds += timer.elapsed_seconds();
+          if (!have_state) break;
           const core::DppSlotResult slot = policy->step(state, rng);
           fixed.push_slot(state, slot.decision);
           ps.push_slot(state, slot.decision);
@@ -114,7 +123,6 @@ int main(int argc, char** argv) {
         const des::HorizonResult ps_result = ps.finish();
         const des::HorizonResult poisson_result = ps_poisson.finish();
 
-        CellResult cell;
         cell.policy = policy_name;
         cell.scenario = scenario_name;
         cell.analytic = fixed_result.total_analytic();
@@ -189,6 +197,8 @@ int main(int argc, char** argv) {
         record["events_ps_poisson"] = cell.events_ps_poisson;
         record["spillovers_ps"] = cell.spillovers_ps;
         record["spillovers_ps_poisson"] = cell.spillovers_ps_poisson;
+        record["setup_seconds"] = cell.setup_seconds;
+        record["state_seconds"] = cell.state_seconds;
         records.push_back(std::move(record));
       }
       doc["records"] = std::move(records);

@@ -210,32 +210,10 @@ void BM_P2bSolve(benchmark::State& bench) {
 }
 BENCHMARK(BM_P2bSolve);
 
-// Kernel-backend before/after pairs: the three core/kernels entry points
-// pinned to the scalar reference backend vs the most specialized SIMD
-// backend this CPU supports (the dispatch default). On a machine with no
-// SIMD backend both arms measure scalar; results are bit-identical either
-// way — only the time moves.
-class BackendPin {
- public:
-  explicit BackendPin(const std::string& name)
-      : previous_(core::kernels::backend_name()) {
-    core::kernels::set_backend(name);
-  }
-  ~BackendPin() { core::kernels::set_backend(previous_); }
-
- private:
-  std::string previous_;
-};
-
-std::string simd_backend_name() {
-  return core::kernels::available_backends().back()->name;
-}
-
 // best_response_scan: a full best-response sweep through the incremental
 // engine (the CGBA hot path — every candidate cost comes off the kernel).
-void engine_sweep_bench(benchmark::State& bench, const std::string& backend) {
+void BM_KernelScan(benchmark::State& bench) {
   auto& f = fixture();
-  const BackendPin pin(backend);
   core::LoadTracker tracker(*f.problem, f.profile);
   core::BestResponseEngine engine(tracker);
   for (auto _ : bench) {
@@ -246,20 +224,12 @@ void engine_sweep_bench(benchmark::State& bench, const std::string& backend) {
     benchmark::DoNotOptimize(total);
   }
 }
-void BM_KernelScanScalar(benchmark::State& bench) {
-  engine_sweep_bench(bench, "scalar");
-}
-BENCHMARK(BM_KernelScanScalar);
-void BM_KernelScanSimd(benchmark::State& bench) {
-  engine_sweep_bench(bench, simd_backend_name());
-}
-BENCHMARK(BM_KernelScanSimd);
+BENCHMARK(BM_KernelScan);
 
 // lemma1_batch: the workspace overload, allocation-free.
-void lemma1_batch_bench(benchmark::State& bench, const std::string& backend) {
+void BM_KernelLemma1(benchmark::State& bench) {
   auto& f = fixture();
   const auto& instance = f.scenario->instance();
-  const BackendPin pin(backend);
   core::Lemma1Workspace workspace;
   core::ResourceAllocation out;
   for (auto _ : bench) {
@@ -267,21 +237,13 @@ void lemma1_batch_bench(benchmark::State& bench, const std::string& backend) {
     benchmark::DoNotOptimize(out.phi.data());
   }
 }
-void BM_KernelLemma1Scalar(benchmark::State& bench) {
-  lemma1_batch_bench(bench, "scalar");
-}
-BENCHMARK(BM_KernelLemma1Scalar);
-void BM_KernelLemma1Simd(benchmark::State& bench) {
-  lemma1_batch_bench(bench, simd_backend_name());
-}
-BENCHMARK(BM_KernelLemma1Simd);
+BENCHMARK(BM_KernelLemma1);
 
 // p2b_batch: the workspace overload — sqrt-chain load build plus the
-// lockstep lanes of the batched frequency bisection.
-void p2b_batch_bench(benchmark::State& bench, const std::string& backend) {
+// batched frequency bisection.
+void BM_KernelP2b(benchmark::State& bench) {
   auto& f = fixture();
   const auto& instance = f.scenario->instance();
-  const BackendPin pin(backend);
   core::P2bWorkspace workspace;
   core::P2bResult result;
   for (auto _ : bench) {
@@ -290,14 +252,7 @@ void p2b_batch_bench(benchmark::State& bench, const std::string& backend) {
     benchmark::DoNotOptimize(result.objective);
   }
 }
-void BM_KernelP2bScalar(benchmark::State& bench) {
-  p2b_batch_bench(bench, "scalar");
-}
-BENCHMARK(BM_KernelP2bScalar);
-void BM_KernelP2bSimd(benchmark::State& bench) {
-  p2b_batch_bench(bench, simd_backend_name());
-}
-BENCHMARK(BM_KernelP2bSimd);
+BENCHMARK(BM_KernelP2b);
 
 void BM_CgbaSolve(benchmark::State& bench) {
   auto& f = fixture();

@@ -37,6 +37,7 @@ struct ServeCell {
   std::size_t slots = 0;
   double ingest_slots_per_sec = 0.0;
   double wire_bytes_per_slot = 0.0;
+  double setup_seconds = 0.0;  // make_policy + ServeLoop construction
   eotora::serve::ServeMetrics metrics;
 };
 
@@ -98,9 +99,11 @@ int main(int argc, char** argv) {
 
       // ---- decide: the full ServeLoop with a real producer thread --------
       {
+        const util::Timer setup_timer;
         serve::ServeLoop loop(
             instance, sim::make_policy("dpp-bdma", instance,
                                        sim::PolicyParams{}));
+        cell.setup_seconds = setup_timer.elapsed_seconds();
         std::thread decide([&loop] { loop.run(); });
         for (const sim::SlotDelta& delta : deltas) {
           while (!loop.submit(delta)) {
@@ -152,6 +155,7 @@ int main(int argc, char** argv) {
         record["slots"] = cell.slots;
         record["ingest_slots_per_sec"] = cell.ingest_slots_per_sec;
         record["wire_bytes_per_slot"] = cell.wire_bytes_per_slot;
+        record["setup_seconds"] = cell.setup_seconds;
         record["decide_p50_us"] = cell.metrics.decide_p50_us;
         record["decide_p99_us"] = cell.metrics.decide_p99_us;
         record["decide_max_us"] = cell.metrics.decide_max_us;

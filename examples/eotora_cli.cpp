@@ -64,17 +64,6 @@ options (all --key=value):
   --trace-out  record execution trace spans (per-slot phases, solver
              stages) and write Chrome chrome://tracing JSON to this path;
              tracing never changes results or the printed counters
-  --kernel-backend  force the arithmetic kernel backend by name (see
-             --list-kernels); unknown or unsupported names fail fast
-             listing the available ones. Default: the most specialized
-             backend this CPU supports (results are bit-identical on
-             every backend), or the EOTORA_KERNEL_BACKEND env var
-  --fast-math  let the kernel layer reassociate reductions and
-             pre-combine scan terms: faster, but results may drift up
-             to 1e-9 relative from the bit-exact default path, so the
-             golden fixtures only hold with this flag off
-  --list-kernels  print every kernel backend this build + CPU supports
-             with a one-line description, then exit
   --list-policies  print every registry policy name with a one-line
              description, then exit
   --list-scenarios  print every registered scenario preset with a
@@ -130,7 +119,6 @@ int main(int argc, char** argv) {
                            "v", "q0", "z", "seed", "scenario", "shards",
                            "districts", "graph", "record", "replay", "log",
                            "stream", "prefetch", "audit", "trace-out",
-                           "kernel-backend", "fast-math", "list-kernels",
                            "list-policies", "list-scenarios", "help"});
     if (args.has("help")) {
       print_usage();
@@ -147,22 +135,6 @@ int main(int argc, char** argv) {
         std::cout << name << "  " << sim::scenario_description(name) << "\n";
       }
       return 0;
-    }
-    if (args.has("list-kernels")) {
-      for (const core::kernels::Backend* backend :
-           core::kernels::available_backends()) {
-        std::cout << backend->name << "  " << backend->description << "\n";
-      }
-      return 0;
-    }
-    // Kernel selection happens before any scenario work: an unknown backend
-    // name must fail fast (set_backend throws listing the available ones),
-    // and every solver must see the same selection from the first slot on.
-    if (args.has("kernel-backend")) {
-      core::kernels::set_backend(args.get("kernel-backend", ""));
-    }
-    if (args.has("fast-math")) {
-      core::kernels::set_fast_math(true);
     }
 
     // The historical short names stay as aliases everywhere a policy name

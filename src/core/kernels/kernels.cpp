@@ -1,98 +1,59 @@
 #include "core/kernels/kernels.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-
-#include "core/kernels/kernels_detail.h"
+#include <cmath>
 
 namespace eotora::core::kernels {
 
 namespace {
 
-// Process-global selection. Solvers read it through dispatch() on every
-// kernel call, so shard workers and late-constructed engines all agree; the
-// CLI (or a test) sets it once up front.
-std::atomic<const Backend*> g_backend{nullptr};
-std::atomic<bool> g_fast_math{false};
-
-// Compiled-in backends in specialization order: scalar first, SIMD after.
-std::vector<const Backend*> compiled_backends() {
-  std::vector<const Backend*> out;
-  out.push_back(detail::scalar_backend());
-  if (const Backend* b = detail::avx2_backend()) out.push_back(b);
-  if (const Backend* b = detail::neon_backend()) out.push_back(b);
-  return out;
+// out[i] = num[i] / den[key[i]].
+void div_gather(const double* num, const double* den, const std::uint32_t* key,
+                double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = num[i] / den[key[i]];
 }
 
-const Backend* find_available(const std::string& name) {
-  for (const Backend* b : compiled_backends()) {
-    if (name == b->name && b->supported()) return b;
+// Candidates [begin, end) of one group against the running champion, with
+// LoadTracker::best_response's strict-< update (the first occurrence of the
+// minimum wins).
+void scan_range(const double* tc, const std::uint32_t* server_of_entry,
+                std::uint32_t begin, std::uint32_t end, double a_term,
+                double f_term, double& best_cost, std::uint32_t& best_entry) {
+  for (std::uint32_t a = begin; a < end; ++a) {
+    const double c = (tc[server_of_entry[a]] + a_term) + f_term;
+    if (c < best_cost) {
+      best_cost = c;
+      best_entry = a;
+    }
   }
-  return nullptr;
+}
+
+// d/dw of the per-server P2-B objective with the affine energy-model
+// derivative slope·w + intercept. Operation order matches the open-coded
+// lambda in core/p2b.cpp exactly:
+//   -V·A / (cores·w·w·1e9) + scale · ((slope·w + intercept) · cores / 4.0)
+// (the trailing · cores / 4.0 is Server::power_derivative_watts' scaling).
+double p2b_derivative_affine(double neg_va, double cores, double scale,
+                             double d_slope, double d_intercept, double w) {
+  const double den = cores * w * w * 1e9;
+  const double pd = d_slope * w + d_intercept;
+  const double watts = pd * cores / 4.0;
+  return neg_va / den + scale * watts;
 }
 
 }  // namespace
 
-std::vector<const Backend*> available_backends() {
-  std::vector<const Backend*> out;
-  for (const Backend* b : compiled_backends()) {
-    if (b->supported()) out.push_back(b);
-  }
-  return out;
+void sqrt_div(const double* num, const double* den, double* out,
+              std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::sqrt(num[i] / den[i]);
 }
-
-std::string available_backend_names() {
-  std::string names;
-  for (const Backend* b : available_backends()) {
-    if (!names.empty()) names += ", ";
-    names += b->name;
-  }
-  return names;
-}
-
-void set_backend(const std::string& name) {
-  const Backend* b = find_available(name);
-  if (b == nullptr) {
-    throw std::invalid_argument("unknown kernel backend '" + name +
-                                "'; available: " + available_backend_names());
-  }
-  g_backend.store(b, std::memory_order_release);
-}
-
-const Backend& dispatch() {
-  if (const Backend* b = g_backend.load(std::memory_order_acquire)) return *b;
-  // First use. EOTORA_KERNEL_BACKEND overrides (unknown names fail fast with
-  // the available list); otherwise take the most specialized supported
-  // backend. A racing first call resolves to the same answer, so the plain
-  // store is benign.
-  if (const char* env = std::getenv("EOTORA_KERNEL_BACKEND");
-      env != nullptr && *env != '\0') {
-    set_backend(env);
-  } else {
-    g_backend.store(available_backends().back(), std::memory_order_release);
-  }
-  return *g_backend.load(std::memory_order_acquire);
-}
-
-const char* backend_name() { return dispatch().name; }
-
-void set_fast_math(bool on) {
-  g_fast_math.store(on, std::memory_order_release);
-}
-
-bool fast_math() { return g_fast_math.load(std::memory_order_acquire); }
 
 void lemma1_batch(const Lemma1Io& io) {
-  const Backend& b = dispatch();
-  b.sqrt_div(io.compute_num, io.compute_den, io.sqrt_compute, io.devices);
-  b.sqrt_div(io.access_num, io.access_den, io.sqrt_access, io.devices);
-  b.sqrt_div(io.fronthaul_num, io.fronthaul_den, io.sqrt_fronthaul,
-             io.devices);
-  // Denominator scatter stays scalar on every backend: the device-order
-  // accumulation is part of the bit-identity contract (same rounding as the
-  // open-coded loop in the pre-kernel core/lemma1.cpp).
+  sqrt_div(io.compute_num, io.compute_den, io.sqrt_compute, io.devices);
+  sqrt_div(io.access_num, io.access_den, io.sqrt_access, io.devices);
+  sqrt_div(io.fronthaul_num, io.fronthaul_den, io.sqrt_fronthaul, io.devices);
+  // Device-order accumulation: the same rounding as the open-coded loop in
+  // the pre-kernel core/lemma1.cpp.
   std::fill_n(io.server_denominator, io.num_servers, 0.0);
   std::fill_n(io.access_denominator, io.num_stations, 0.0);
   std::fill_n(io.fronthaul_denominator, io.num_stations, 0.0);
@@ -101,12 +62,12 @@ void lemma1_batch(const Lemma1Io& io) {
     io.access_denominator[io.bs_key[i]] += io.sqrt_access[i];
     io.fronthaul_denominator[io.bs_key[i]] += io.sqrt_fronthaul[i];
   }
-  b.div_gather(io.sqrt_compute, io.server_denominator, io.server_key, io.phi,
-               io.devices);
-  b.div_gather(io.sqrt_access, io.access_denominator, io.bs_key,
-               io.psi_access, io.devices);
-  b.div_gather(io.sqrt_fronthaul, io.fronthaul_denominator, io.bs_key,
-               io.psi_fronthaul, io.devices);
+  div_gather(io.sqrt_compute, io.server_denominator, io.server_key, io.phi,
+             io.devices);
+  div_gather(io.sqrt_access, io.access_denominator, io.bs_key, io.psi_access,
+             io.devices);
+  div_gather(io.sqrt_fronthaul, io.fronthaul_denominator, io.bs_key,
+             io.psi_fronthaul, io.devices);
 }
 
 ScanHit best_response_scan(const double* tc,
@@ -114,18 +75,68 @@ ScanHit best_response_scan(const double* tc,
                            const ScanGroup* groups, std::size_t num_groups,
                            const double* ta, const double* tf,
                            std::uint32_t skip_entry, double bound) {
-  return dispatch().scan(tc, server_of_entry, groups, num_groups, ta, tf,
-                         skip_entry, bound, fast_math());
+  double best_cost = bound;
+  std::uint32_t best_entry = kNoEntry;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const ScanGroup& grp = groups[g];
+    const double a_term = ta[grp.bs];
+    const double f_term = tf[grp.bs];
+    // Split the group's range around the skipped entry rather than testing
+    // every entry against it (kNoEntry lies outside every range).
+    if (skip_entry - grp.begin < grp.end - grp.begin) {
+      scan_range(tc, server_of_entry, grp.begin, skip_entry, a_term, f_term,
+                 best_cost, best_entry);
+      scan_range(tc, server_of_entry, skip_entry + 1, grp.end, a_term, f_term,
+                 best_cost, best_entry);
+    } else {
+      scan_range(tc, server_of_entry, grp.begin, grp.end, a_term, f_term,
+                 best_cost, best_entry);
+    }
+  }
+  return {best_entry, best_cost};
 }
 
 void p2b_batch(const P2bBatchView& batch, double* out_x) {
-  dispatch().p2b_bisect(batch, out_x);
+  for (std::size_t i = 0; i < batch.n; ++i) {
+    const double neg_va = batch.neg_va[i];
+    const double cores = batch.cores[i];
+    const double slope = batch.d_slope[i];
+    const double icept = batch.d_intercept[i];
+    const double scale = batch.scale;
+    const auto df = [=](double w) {
+      return p2b_derivative_affine(neg_va, cores, scale, slope, icept, w);
+    };
+    // math::derivative_bisection's endpoint tests, midpoint updates, and
+    // iteration cutoff.
+    const double lo = batch.lo[i];
+    const double hi = batch.hi[i];
+    if (df(lo) >= 0.0) {
+      out_x[i] = lo;
+      continue;
+    }
+    if (df(hi) <= 0.0) {
+      out_x[i] = hi;
+      continue;
+    }
+    double a = lo;
+    double b = hi;
+    for (int iter = 0; iter < batch.max_iterations && (b - a) > batch.tolerance;
+         ++iter) {
+      const double mid = 0.5 * (a + b);
+      if (df(mid) < 0.0) {
+        a = mid;
+      } else {
+        b = mid;
+      }
+    }
+    out_x[i] = 0.5 * (a + b);
+  }
 }
 
 double weighted_sumsq(const double* w, const double* x, std::size_t n) {
-  const Backend& b = dispatch();
-  return fast_math() ? b.weighted_sumsq_fast(w, x, n)
-                     : b.weighted_sumsq(w, x, n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += w[i] * x[i] * x[i];
+  return sum;
 }
 
 }  // namespace eotora::core::kernels

@@ -1,39 +1,28 @@
 // Data-oriented kernel layer: the batched, branch-light arithmetic the
 // per-slot solvers are built on (ROADMAP "fast as the hardware allows").
 //
-// Three kernels cover the decide loop's inner arithmetic:
+// Four kernels cover the decide loop's inner arithmetic:
 //   lemma1_batch       — the closed-form share evaluation of core/lemma1.h,
-//                        restructured as sqrt(num/den) sweeps, a scalar
+//                        restructured as sqrt(num/den) sweeps, a device-order
 //                        scatter, and gather-divides over contiguous spans;
 //   best_response_scan — BestResponseEngine's grouped option scan: a
 //                        first-wins strict-< argmin over cached cost terms;
-//   p2b_batch          — the N independent P2-B derivative bisections run in
-//                        lockstep lanes (core/p2b.h).
-// plus weighted_sumsq, the Σ m_r P_r² social-cost reduction.
+//   p2b_batch          — the N independent P2-B derivative bisections
+//                        (core/p2b.h);
+//   weighted_sumsq     — the Σ m_r P_r² social-cost reduction;
+// plus sqrt_div, the sqrt(num/den) row sweep WcgProblem::rebuild runs per
+// device.
 //
-// Backends: a portable scalar backend (always available) and SIMD backends
-// (AVX2 on x86-64, NEON on aarch64) selected at runtime by dispatch().
-// Selection order is "most specialized supported backend"; the
-// EOTORA_KERNEL_BACKEND environment variable or set_backend() overrides it
-// (eotora_cli surfaces the choice as --kernel-backend / --list-kernels).
-//
-// Bit-identity contract (the default path): every backend produces the SAME
-// BITS as the scalar backend for every kernel. This works because the lanes
-// only use IEEE-754 correctly-rounded operations (+, -, *, /, sqrt) applied
-// in the same per-element order as the open-coded loops they replaced — no
-// FMA contraction, no reassociated reductions, and every order-sensitive
-// accumulation (the Lemma-1 denominator scatter, the weighted_sumsq
-// left-to-right sum) stays scalar. The golden fixtures therefore hold on
-// every backend. set_fast_math(true) relaxes this: backends may then
-// pre-combine per-group scan terms and reassociate reductions, drifting
-// ≤ 1e-9 relative from the exact path (tests/test_kernels.cpp pins both
-// contracts).
+// Rounding contract: every kernel keeps the operation order of the
+// open-coded loops it replaced — only IEEE-754 correctly-rounded +, -, *, /
+// and sqrt, no reassociated sums, and every accumulation (the Lemma-1
+// denominator scatter, the weighted_sumsq left-to-right sum) runs in index
+// order. The golden fixtures pin the resulting bits; tests/test_kernels.cpp
+// checks each kernel against an independent re-statement.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace eotora::core::kernels {
 
@@ -60,15 +49,27 @@ struct ScanHit {
   double cost = 0.0;
 };
 
+// First-wins strict-< argmin over the groups' entries: the candidate cost of
+// arena entry a in group g is (tc[server_of_entry[a]] + ta[g.bs]) + tf[g.bs]
+// (left-associated, as LoadTracker::cost_if_moved sums it). Entry
+// `skip_entry` (the device's current option, or kNoEntry) is excluded;
+// `bound` seeds the champion cost.
+[[nodiscard]] ScanHit best_response_scan(const double* tc,
+                                         const std::uint32_t* server_of_entry,
+                                         const ScanGroup* groups,
+                                         std::size_t num_groups,
+                                         const double* ta, const double* tf,
+                                         std::uint32_t skip_entry,
+                                         double bound);
+
 // ---------------------------------------------------------------------------
 // lemma1_batch
 
 // One batched Lemma-1 evaluation over `devices` devices. All pointer spans
 // have length `devices` unless noted. The kernel fills the three sqrt
 // scratch vectors with sqrt(num/den), zeroes and accumulates the per-resource
-// denominators IN DEVICE ORDER (the scatter stays scalar on every backend —
-// the accumulation order is part of the bit-identity contract), then writes
-// share[i] = sqrt_val[i] / denominator[key[i]] for each category.
+// denominators IN DEVICE ORDER (the accumulation order fixes the rounding),
+// then writes share[i] = sqrt_val[i] / denominator[key[i]] for each category.
 struct Lemma1Io {
   std::size_t devices = 0;
   // compute: num = f_i, den = σ_{i,n_i}, keyed by the selected server n_i.
@@ -99,107 +100,48 @@ struct Lemma1Io {
   double* psi_fronthaul = nullptr;
 };
 
+void lemma1_batch(const Lemma1Io& io);
+
 // ---------------------------------------------------------------------------
 // p2b_batch
 
 // SoA view of the P2-B servers that need an interior bisection (the q == 0
-// and idle-server closed forms are resolved by the caller). Lanes solve
+// and idle-server closed forms are resolved by the caller). Each server
+// solves
 //   d/dw [ V·A_n/(cores·w·1e9) + scale·power_watts(w) ] = 0   on [lo, hi]
 // with the affine energy-model derivative slope·w + intercept (2a·w + b for
-// the quadratic model, 0·w + slope for the linear one). Every lane
-// reproduces math::derivative_bisection's endpoint tests, midpoint updates,
-// and iteration cutoff bit-for-bit; non-affine models never enter a batch —
-// core/p2b.cpp keeps them on the per-server scalar path.
+// the quadratic model, 0·w + slope for the linear one), reproducing
+// math::derivative_bisection's endpoint tests, midpoint updates, and
+// iteration cutoff bit-for-bit; non-affine models never enter a batch —
+// core/p2b.cpp keeps them on the per-server path.
 struct P2bBatchView {
   std::size_t n = 0;
   const double* neg_va = nullptr;      // (-V) · A_n
   const double* cores = nullptr;       // core counts as doubles
   const double* lo = nullptr;          // F^L_n
   const double* hi = nullptr;          // F^U_n
-  const double* d_slope = nullptr;     // energy-derivative slope per lane
-  const double* d_intercept = nullptr; // energy-derivative intercept per lane
+  const double* d_slope = nullptr;     // energy-derivative slope per server
+  const double* d_intercept = nullptr; // energy-derivative intercept
   double scale = 0.0;                  // Q · price · slot_h / 1e6
   double tolerance = 1e-7;
   int max_iterations = 200;
 };
 
-// ---------------------------------------------------------------------------
-// Backend
-
-struct Backend {
-  const char* name = nullptr;
-  const char* description = nullptr;
-  bool (*supported)() = nullptr;  // runtime CPU capability check
-
-  // out[i] = sqrt(num[i] / den[i]) — lane-exact on every backend.
-  void (*sqrt_div)(const double* num, const double* den, double* out,
-                   std::size_t n) = nullptr;
-  // out[i] = num[i] / den[key[i]] — lane-exact gather-divide.
-  void (*div_gather)(const double* num, const double* den,
-                     const std::uint32_t* key, double* out,
-                     std::size_t n) = nullptr;
-  // First-wins strict-< argmin over the groups' entries: candidate cost of
-  // arena entry a in group g is (tc[server_of_entry[a]] + ta[g.bs]) + tf[g.bs]
-  // (left-associated; fast mode may pre-combine ta + tf per group). Entry
-  // `skip_entry` is excluded; `bound` seeds the champion cost.
-  ScanHit (*scan)(const double* tc, const std::uint32_t* server_of_entry,
-                  const ScanGroup* groups, std::size_t num_groups,
-                  const double* ta, const double* tf, std::uint32_t skip_entry,
-                  double bound, bool fast) = nullptr;
-  // Lockstep derivative bisection over the batch lanes (see P2bBatchView).
-  void (*p2b_bisect)(const P2bBatchView& batch, double* out_x) = nullptr;
-  // Σ ((w[i]·x[i])·x[i]) left-to-right — the exact social-cost reduction.
-  double (*weighted_sumsq)(const double* w, const double* x,
-                           std::size_t n) = nullptr;
-  // Reassociated variant (vector partial sums); used only under fast-math.
-  double (*weighted_sumsq_fast)(const double* w, const double* x,
-                                std::size_t n) = nullptr;
-};
-
-// The active backend. First call resolves the default: the
-// EOTORA_KERNEL_BACKEND environment variable if set (throwing
-// std::invalid_argument for an unknown or unsupported name), otherwise the
-// most specialized backend the CPU supports. Thread-safe; shard workers read
-// the same process-global selection.
-[[nodiscard]] const Backend& dispatch();
-
-// Compiled-in backends the current CPU supports, scalar first.
-[[nodiscard]] std::vector<const Backend*> available_backends();
-
-// Comma-separated names of available_backends() — for diagnostics.
-[[nodiscard]] std::string available_backend_names();
-
-// Selects a backend by name. Throws std::invalid_argument naming the
-// available backends when `name` is unknown here. NOT safe to call
-// concurrently with in-flight solves; set it up front (the CLI does).
-void set_backend(const std::string& name);
-
-// Name of the backend dispatch() currently resolves to.
-[[nodiscard]] const char* backend_name();
-
-// Fast-math mode: off by default (the bit-exact golden path). When on,
-// backends may reassociate reductions and pre-combine scan terms; results
-// drift ≤ 1e-9 relative from the exact path. Gated behind eotora_cli
-// --fast-math; golden_tool refuses to record with it enabled.
-void set_fast_math(bool on);
-[[nodiscard]] bool fast_math();
-
-// ---------------------------------------------------------------------------
-// Kernel entry points (route through dispatch() and the fast-math flag).
-
-void lemma1_batch(const Lemma1Io& io);
-
-[[nodiscard]] ScanHit best_response_scan(const double* tc,
-                                         const std::uint32_t* server_of_entry,
-                                         const ScanGroup* groups,
-                                         std::size_t num_groups,
-                                         const double* ta, const double* tf,
-                                         std::uint32_t skip_entry,
-                                         double bound);
-
 void p2b_batch(const P2bBatchView& batch, double* out_x);
 
+// ---------------------------------------------------------------------------
+// Reductions and sweeps
+
+// Σ ((w[i]·x[i])·x[i]), summed left to right.
 [[nodiscard]] double weighted_sumsq(const double* w, const double* x,
                                     std::size_t n);
+
+// out[i] = sqrt(num[i] / den[i]).
+void sqrt_div(const double* num, const double* den, double* out,
+              std::size_t n);
+
+// Name of the arithmetic implementation, recorded as provenance in bench
+// artifacts. There is one: the scalar loops above.
+[[nodiscard]] constexpr const char* backend_name() { return "scalar"; }
 
 }  // namespace eotora::core::kernels

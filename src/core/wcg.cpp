@@ -100,8 +100,8 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
     EOTORA_REQUIRE(sigma[i].size() == num_servers_);
     std::fill(task_cycles_row_.begin(), task_cycles_row_.end(),
               state.task_cycles[i]);
-    kernels::dispatch().sqrt_div(task_cycles_row_.data(), sigma[i].data(),
-                                 sqrt_compute_row_.data(), num_servers_);
+    kernels::sqrt_div(task_cycles_row_.data(), sigma[i].data(),
+                      sqrt_compute_row_.data(), num_servers_);
     for (std::size_t k = 0; k < num_base_stations_; ++k) {
       const double h = state.channel[i][k];
       if (h <= 0.0) continue;  // not covered / unusable link

@@ -6,6 +6,7 @@
 
 #include "sim/pipeline/assemblies.h"
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace eotora::sim {
 
@@ -114,6 +115,8 @@ std::string policy_description(const std::string& name) {
 std::unique_ptr<Policy> make_policy(const std::string& name,
                                     const core::Instance& instance,
                                     const PolicyParams& params) {
+  // Name lookup plus the builder: every stage, workspace and warm start.
+  EOTORA_TRACE_SPAN("setup/policy");
   const auto it = entries().find(name);
   if (it == entries().end()) throw_unknown_policy(name);
   auto policy = it->second.build(instance, params);

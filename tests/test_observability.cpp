@@ -297,6 +297,24 @@ TEST(TraceTest, ScenarioConstructionIsSpanned) {
   EXPECT_GT(events.at(0).at("dur").as_number(), 0.0);
 }
 
+// Policy construction is attributed too: one make_policy call is exactly one
+// setup/policy span (builders open no spans of their own).
+TEST(TraceTest, PolicyConstructionIsSpanned) {
+  const sim::Scenario scenario(tiny());
+  TraceGuard guard;
+  util::trace::set_enabled(true);
+  {
+    const auto policy =
+        sim::make_policy("dpp-bdma", scenario.instance(), sim::PolicyParams{});
+  }
+  util::trace::set_enabled(false);
+  const util::Json doc = util::trace::to_chrome_json();
+  const util::Json& events = doc.at("traceEvents");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events.at(0).at("name").as_string(), "setup/policy");
+  EXPECT_GT(events.at(0).at("dur").as_number(), 0.0);
+}
+
 // Phase timing decomposition: every phase a run actually executed reports
 // nonnegative time, and the decision phase is nonzero for real solvers.
 TEST(PhaseTimingTest, RunPolicyDecomposesTime) {

@@ -130,6 +130,58 @@ void BM_WcgRebuild(benchmark::State& bench) {
 }
 BENCHMARK(BM_WcgRebuild);
 
+// The metro-10k layout (10^4 devices, 64 districts, 512 servers): each
+// device reaches 8 servers over up to 16 (base station, server) options, so
+// per-slot set-up work sized by devices x servers shows up here and not in
+// the 100-device paper fixture above.
+struct MetroFixture {
+  MetroFixture() : scenario(config()), state(scenario.next_state()) {}
+  static sim::ScenarioConfig config() {
+    sim::ScenarioConfig config;
+    config.devices = 10000;
+    config.metro_districts = 64;
+    config.seed = 3;
+    return config;
+  }
+  sim::Scenario scenario;
+  core::SlotState state;
+};
+
+MetroFixture& metro_fixture() {
+  static MetroFixture f;
+  return f;
+}
+
+void BM_WcgRebuildMetro(benchmark::State& bench) {
+  auto& f = metro_fixture();
+  const auto& instance = f.scenario.instance();
+  core::WcgProblem problem(instance, f.state, instance.min_frequencies());
+  for (auto _ : bench) {
+    problem.rebuild(instance, f.state, instance.min_frequencies());
+    benchmark::DoNotOptimize(problem.num_options());
+  }
+}
+BENCHMARK(BM_WcgRebuildMetro)->Unit(benchmark::kMillisecond);
+
+// The sharded drivers' plan step on the path a metro slot takes 2 times in
+// 3: the decomposition is reused (signature check), and the 64 shards are
+// patched in place with the rebuilt p-values and weights. The rebuild
+// itself is untimed.
+void BM_ShardPlanMetro(benchmark::State& bench) {
+  auto& f = metro_fixture();
+  const auto& instance = f.scenario.instance();
+  core::WcgProblem problem(instance, f.state, instance.min_frequencies());
+  core::ShardedWorkspace ws;
+  benchmark::DoNotOptimize(core::plan_shards(problem, ws).count);
+  for (auto _ : bench) {
+    bench.PauseTiming();
+    problem.rebuild(instance, f.state, instance.min_frequencies());
+    bench.ResumeTiming();
+    benchmark::DoNotOptimize(core::plan_shards(problem, ws).count);
+  }
+}
+BENCHMARK(BM_ShardPlanMetro)->Unit(benchmark::kMillisecond);
+
 // Component decomposition cost: a from-scratch union-find sweep (forced by
 // rebuild(), which invalidates the cache) vs the signature-reuse fast path
 // that per-slot rebuilds hit when coverage is unchanged (the steady state

@@ -10,12 +10,21 @@
 //   $ ./examples/site_planning
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "eotora/eotora.h"
 
 namespace {
 
 using namespace eotora;
+
+// "<prefix><index>" built with +=: GCC 12 misreports the inlined
+// `"literal" + std::to_string(i)` as an overlapping memcpy (-Wrestrict).
+std::string numbered(const char* prefix, std::size_t index) {
+  std::string name = prefix;
+  name += std::to_string(index);
+  return name;
+}
 
 std::shared_ptr<topology::Topology> build_site(bool with_macro,
                                                std::size_t devices,
@@ -26,14 +35,14 @@ std::shared_ptr<topology::Topology> build_site(bool with_macro,
   const auto east = builder.add_cluster("east-room", {900.0, 600.0});
   auto fit = std::make_shared<energy::QuadraticEnergy>(
       energy::reference_cpu_fit());
-  for (int j = 0; j < 4; ++j) {
-    builder.add_server("w" + std::to_string(j), west, 64, 1.8, 3.6, fit);
-    builder.add_server("e" + std::to_string(j), east, 128, 1.8, 3.6, fit);
+  for (std::size_t j = 0; j < 4; ++j) {
+    builder.add_server(numbered("w", j), west, 64, 1.8, 3.6, fit);
+    builder.add_server(numbered("e", j), east, 128, 1.8, 3.6, fit);
   }
   const topology::Point cells[4] = {
       {300.0, 300.0}, {300.0, 900.0}, {900.0, 300.0}, {900.0, 900.0}};
   for (int c = 0; c < 4; ++c) {
-    builder.add_base_station("cell-" + std::to_string(c), cells[c],
+    builder.add_base_station(numbered("cell-", c), cells[c],
                              topology::Band::kMid, 330.0, 80e6, 0.8e9, 10.0,
                              {cells[c].x < 600.0 ? west : east});
   }
@@ -42,7 +51,7 @@ std::shared_ptr<topology::Topology> build_site(bool with_macro,
                              1700.0, 60e6, 0.6e9, 10.0, {west, east});
   }
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
+    builder.add_device(numbered("d", i),
                        {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1200.0)});
   }
   return std::make_shared<topology::Topology>(builder.build());

@@ -10,8 +10,8 @@
 //   p2b_batch          — the N independent P2-B derivative bisections
 //                        (core/p2b.h);
 //   weighted_sumsq     — the Σ m_r P_r² social-cost reduction;
-// plus sqrt_div, the sqrt(num/den) row sweep WcgProblem::rebuild runs per
-// device.
+// plus sqrt_div, the sqrt(num/den) sweep lemma1_batch runs (and whose
+// operands and rounding WcgProblem::rebuild's per-pair pricing repeats).
 //
 // Rounding contract: every kernel keeps the operation order of the
 // open-coded loops it replaced — only IEEE-754 correctly-rounded +, -, *, /

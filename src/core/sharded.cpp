@@ -11,16 +11,6 @@ namespace eotora::core {
 
 namespace {
 
-// Sizes the per-shard workspace slots. problems only grows so extracted
-// arenas are reused rebuild()-style across solves; the per-slot containers
-// are overwritten wholesale by the workers.
-void plan_workspace(ShardedWorkspace& ws, std::size_t count) {
-  if (ws.problems.size() < count) ws.problems.resize(count);
-  ws.initials.resize(count);
-  ws.results.resize(count);
-  ws.loads.resize(count);
-}
-
 // Copies each component's slice of the per-device fields back into the
 // global result, accumulating iterations/convergence, and flushes the
 // per-shard counters into the caller's active() sink in component order.
@@ -44,6 +34,37 @@ void merge_results(const WcgComponents& split, const ShardedWorkspace& ws,
 
 }  // namespace
 
+const WcgComponents& plan_shards(const WcgProblem& problem,
+                                 ShardedWorkspace& ws) {
+  const WcgComponents& split = problem.components();
+  const std::size_t count = split.count;
+  if (count == 1) return split;
+  // problems only grows so extracted arenas are reused rebuild()-style;
+  // the per-solve containers are overwritten wholesale by the workers.
+  if (ws.problems.size() < count) ws.problems.resize(count);
+  ws.initials.resize(count);
+  ws.results.resize(count);
+  ws.loads.resize(count);
+  const bool same_structure =
+      ws.structure_version == problem.structure_version();
+  const bool values = ws.values_version != problem.values_version();
+  if (same_structure && !values &&
+      ws.weights_version == problem.weights_version()) {
+    return split;
+  }
+  for (std::size_t c = 0; c < count; ++c) {
+    if (same_structure) {
+      problem.patch_component(split, c, values, ws.problems[c]);
+    } else {
+      problem.extract_component(split, c, ws.problems[c]);
+    }
+  }
+  ws.structure_version = problem.structure_version();
+  ws.values_version = problem.values_version();
+  ws.weights_version = problem.weights_version();
+  return split;
+}
+
 ShardedResult cgba_sharded(const WcgProblem& problem, const CgbaConfig& config,
                            util::Rng& rng, std::size_t workers,
                            ShardedWorkspace* workspace) {
@@ -65,18 +86,14 @@ ShardedResult cgba_sharded_from(const WcgProblem& problem,
   const WcgComponents* split = nullptr;
   {
     EOTORA_TRACE_SPAN("shard/plan");
-    split = &problem.components();
+    split = &plan_shards(problem, ws);
     out.shards = split->count;
     out.shard_counters.assign(split->count, counters::SolverCounters{});
-    if (split->count > 1) {
-      plan_workspace(ws, split->count);
-      for (std::size_t c = 0; c < split->count; ++c) {
-        problem.extract_component(*split, c, ws.problems[c]);
-        const std::span<const std::uint32_t> devices = split->devices_of(c);
-        ws.initials[c].resize(devices.size());
-        for (std::size_t i = 0; i < devices.size(); ++i) {
-          ws.initials[c][i] = initial[devices[i]];
-        }
+    for (std::size_t c = 0; split->count > 1 && c < split->count; ++c) {
+      const std::span<const std::uint32_t> devices = split->devices_of(c);
+      ws.initials[c].resize(devices.size());
+      for (std::size_t i = 0; i < devices.size(); ++i) {
+        ws.initials[c][i] = initial[devices[i]];
       }
     }
   }
@@ -135,18 +152,14 @@ ShardedResult mcba_sharded(const WcgProblem& problem, const McbaConfig& config,
   const WcgComponents* split = nullptr;
   {
     EOTORA_TRACE_SPAN("shard/plan");
-    split = &problem.components();
+    split = &plan_shards(problem, ws);
     out.shards = split->count;
     out.shard_counters.assign(split->count, counters::SolverCounters{});
-    if (split->count > 1) {
-      plan_workspace(ws, split->count);
-      // Seeds are drawn sequentially in component order on the calling
-      // thread, so every worker count consumes `rng` identically.
-      ws.seeds.resize(split->count);
-      for (std::size_t c = 0; c < split->count; ++c) {
-        ws.seeds[c] = rng.engine()();
-        problem.extract_component(*split, c, ws.problems[c]);
-      }
+    // Seeds are drawn sequentially in component order on the calling
+    // thread, so every worker count consumes `rng` identically.
+    ws.seeds.resize(split->count);
+    for (std::size_t c = 0; split->count > 1 && c < split->count; ++c) {
+      ws.seeds[c] = rng.engine()();
     }
   }
 

@@ -6,9 +6,11 @@
 // state. The drivers here exploit that: WcgProblem::components() finds the
 // decomposition (cached across structure-preserving rebuilds),
 // extract_component() repacks each component into a self-contained
-// subproblem bit-for-bit, the per-shard solves run concurrently on
-// util::ThreadPool, and the merge recombines profiles / costs / counters in
-// component order so the output is identical for every worker count.
+// subproblem bit-for-bit (patch_component() refreshes a repacked shard in
+// place while the decomposition is reused), the per-shard solves run
+// concurrently on util::ThreadPool, and the merge recombines profiles /
+// costs / counters in component order so the output is identical for every
+// worker count.
 //
 // Exactness contracts (pinned by tests/test_sharded.cpp):
 //   * cgba_sharded(_from) returns the SAME SolveResult bits as the global
@@ -56,8 +58,9 @@ struct ShardedResult {
 // Reusable scratch for the sharded drivers: per-shard extracted problems,
 // initial profiles, results, final loads, seeds, and the merged load
 // buffer. A caller that keeps one workspace across a simulation horizon
-// (BdmaWorkspace does) pays no per-solve arena reallocation. Not
-// thread-safe: one workspace per concurrent caller.
+// (BdmaWorkspace does) pays no per-solve arena reallocation, and while the
+// decomposition is reused its shards are patched in place, not
+// re-extracted. Not thread-safe: one workspace per concurrent caller.
 struct ShardedWorkspace {
   std::vector<WcgProblem> problems;
   std::vector<Profile> initials;
@@ -65,7 +68,22 @@ struct ShardedWorkspace {
   std::vector<std::vector<double>> loads;
   std::vector<std::uint64_t> seeds;
   std::vector<double> merged_loads;
+  // The WcgProblem version ids `problems` was last planned at (0: never).
+  std::uint64_t structure_version = 0;
+  std::uint64_t values_version = 0;
+  std::uint64_t weights_version = 0;
 };
+
+// The plan step both drivers share: finds (or reuses) the decomposition and
+// brings ws.problems[0, count) up to date for it (nothing is extracted for
+// a single component). Shards extracted at the problem's current
+// structure_version() are patched in place — p-values after a rebuild(),
+// weights after a set_frequencies(), nothing if neither ran — and any other
+// structure re-extracts every component. Keyed by the problem's
+// process-unique version ids, never its address, so a different problem or
+// one re-created in place can never match stale shards.
+[[nodiscard]] const WcgComponents& plan_shards(const WcgProblem& problem,
+                                               ShardedWorkspace& ws);
 
 // CGBA over the components, from a random initial profile drawn globally
 // (the same single draw the global cgba() makes, so results match it

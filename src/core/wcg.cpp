@@ -1,6 +1,7 @@
 #include "core/wcg.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -18,6 +19,39 @@ std::size_t access_index(std::size_t n_servers, std::size_t k) {
 std::size_t fronthaul_index(std::size_t n_servers, std::size_t n_bs,
                             std::size_t k) {
   return n_servers + n_bs + k;
+}
+
+// CSR lists of the distinct devices per key, from the (key, device) pairs
+// for_each_pair enumerates device-major in ascending device order: a per-key
+// last-device stamp drops a device's repeats, so every list comes out
+// ascending and duplicate-free. Counting pass, prefix sum, then fill.
+template <typename ForEachPair>
+void build_sweep_sets(std::size_t keys, const ForEachPair& for_each_pair,
+                      std::vector<std::uint32_t>& offsets,
+                      std::vector<std::uint32_t>& entries) {
+  std::vector<std::uint32_t> last(keys, WcgComponents::kNone);
+  offsets.assign(keys + 1, 0);
+  for_each_pair([&](std::size_t key, std::size_t device) {
+    if (last[key] == device) return;
+    last[key] = static_cast<std::uint32_t>(device);
+    ++offsets[key + 1];
+  });
+  for (std::size_t k = 0; k < keys; ++k) offsets[k + 1] += offsets[k];
+  entries.resize(offsets[keys]);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  last.assign(keys, WcgComponents::kNone);
+  for_each_pair([&](std::size_t key, std::size_t device) {
+    if (last[key] == device) return;
+    last[key] = static_cast<std::uint32_t>(device);
+    entries[cursor[key]++] = static_cast<std::uint32_t>(device);
+  });
+}
+
+// Process-wide source of WcgProblem version ids: every id is drawn once, so
+// no two problem states — even at one address — ever share one.
+std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 }  // namespace
 
@@ -89,19 +123,15 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
   offsets_.push_back(0);
   const SuitabilityMatrix& sigma = instance.sigma();
   EOTORA_REQUIRE(sigma.size() == devices);
-  task_cycles_row_.resize(num_servers_);
+  // Each reachable (device, server) pair is priced once: sqrt(f_i / σ_{i,n})
+  // is evaluated when device i first meets server n under a covering base
+  // station (priced_by_[n] != i) and reused by i's later options on n. Same
+  // operands and rounding as a full-row sqrt_div sweep, over reachable pairs
+  // only.
+  priced_by_.assign(num_servers_, WcgComponents::kNone);
   sqrt_compute_row_.resize(num_servers_);
   for (std::size_t i = 0; i < devices; ++i) {
-    // Batched sqrt(f_i / σ_{i,·}) over the full server row: a server that
-    // appears under several covering base stations gets its chain evaluated
-    // once instead of once per option, with the same operands and rounding
-    // as the per-option chain it replaces. Entries for servers no option
-    // reaches are never read.
     EOTORA_REQUIRE(sigma[i].size() == num_servers_);
-    std::fill(task_cycles_row_.begin(), task_cycles_row_.end(),
-              state.task_cycles[i]);
-    kernels::sqrt_div(task_cycles_row_.data(), sigma[i].data(),
-                      sqrt_compute_row_.data(), num_servers_);
     for (std::size_t k = 0; k < num_base_stations_; ++k) {
       const double h = state.channel[i][k];
       if (h <= 0.0) continue;  // not covered / unusable link
@@ -110,6 +140,11 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
           std::sqrt(state.data_bits[i] / fronthaul_se_[k]);
       for (topology::ServerId s :
            topo.reachable_servers(topology::BaseStationId{k})) {
+        if (priced_by_[s.value] != i) {
+          priced_by_[s.value] = static_cast<std::uint32_t>(i);
+          sqrt_compute_row_[s.value] =
+              std::sqrt(state.task_cycles[i] / sigma[i][s.value]);
+        }
         Option opt;
         opt.bs = k;
         opt.server = s.value;
@@ -137,35 +172,7 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
       device_of_[a] = static_cast<std::uint32_t>(i);
     }
   }
-
-  // Inverted index (CSR): count per resource, prefix-sum, fill using the
-  // offsets themselves as cursors, then shift the offsets back down.
-  const std::size_t resources = weights_.size();
-  index_offsets_.assign(resources + 1, 0);
-  for (const Option& opt : arena_) {
-    ++index_offsets_[opt.r_compute + 1];
-    ++index_offsets_[opt.r_access + 1];
-    ++index_offsets_[opt.r_fronthaul + 1];
-  }
-  for (std::size_t r = 0; r < resources; ++r) {
-    index_offsets_[r + 1] += index_offsets_[r];
-  }
-  index_entries_.resize(3 * arena_.size());
-  for (std::size_t a = 0; a < arena_.size(); ++a) {
-    const Option& opt = arena_[a];
-    index_entries_[index_offsets_[opt.r_compute]++] =
-        static_cast<std::uint32_t>(a);
-    index_entries_[index_offsets_[opt.r_access]++] =
-        static_cast<std::uint32_t>(a);
-    index_entries_[index_offsets_[opt.r_fronthaul]++] =
-        static_cast<std::uint32_t>(a);
-  }
-  // Each cursor now sits at the end of its bucket, i.e. the start of the
-  // next one; shift back so index_offsets_[r] is the start of bucket r.
-  for (std::size_t r = resources; r > 0; --r) {
-    index_offsets_[r] = index_offsets_[r - 1];
-  }
-  index_offsets_[0] = 0;
+  values_version_ = next_version();
 
   // The connectivity structure may have changed; components() re-checks the
   // signature (and reuses the decomposition when it matches) on next use.
@@ -176,13 +183,6 @@ std::span<const Option> WcgProblem::options(std::size_t device) const {
   EOTORA_REQUIRE(device + 1 < offsets_.size());
   return {arena_.data() + offsets_[device],
           offsets_[device + 1] - offsets_[device]};
-}
-
-std::span<const std::uint32_t> WcgProblem::options_on_resource(
-    std::size_t resource) const {
-  EOTORA_REQUIRE(resource + 1 < index_offsets_.size());
-  return {index_entries_.data() + index_offsets_[resource],
-          index_offsets_[resource + 1] - index_offsets_[resource]};
 }
 
 double WcgProblem::weight(std::size_t resource) const {
@@ -201,6 +201,7 @@ void WcgProblem::set_frequencies(const Instance& instance,
     const auto& server = topo.server(topology::ServerId{n});
     weights_[compute_index(n)] = 1.0 / server.capacity_hz(frequencies[n]);
   }
+  weights_version_ = next_version();
 }
 
 Profile WcgProblem::random_profile(util::Rng& rng) const {
@@ -336,7 +337,9 @@ const WcgComponents& WcgProblem::components() const {
   // unchanged since the last find, the decomposition is still valid —
   // per-slot state changes magnitudes, not which links exist.
   bool same = signature_valid_ && signature_offsets_ == offsets_ &&
-              signature_options_.size() == arena_.size();
+              signature_options_.size() == arena_.size() &&
+              components_.resource_component.size() == weights_.size() &&
+              signature_servers_ == num_servers_;
   if (same) {
     for (std::size_t a = 0; a < arena_.size(); ++a) {
       const std::uint64_t sig =
@@ -447,8 +450,10 @@ const WcgComponents& WcgProblem::components() const {
     signature_options_[a] = (static_cast<std::uint64_t>(arena_[a].bs) << 32) |
                             static_cast<std::uint64_t>(arena_[a].server);
   }
+  signature_servers_ = num_servers_;
   signature_valid_ = true;
   components_valid_ = true;
+  structure_version_ = next_version();
   ++counters::active().component_finds;
   return components_;
 }
@@ -470,11 +475,6 @@ void WcgProblem::extract_component(const WcgComponents& split, std::size_t c,
   }
   out.num_servers_ = local_servers;
   out.num_base_stations_ = local_stations;
-
-  out.weights_.resize(member_resources.size());
-  for (std::size_t t = 0; t < member_resources.size(); ++t) {
-    out.weights_[t] = weights_[member_resources[t]];
-  }
 
   out.arena_.clear();
   out.offsets_.clear();
@@ -500,35 +500,30 @@ void WcgProblem::extract_component(const WcgComponents& split, std::size_t c,
     }
   }
 
-  // Same CSR build as rebuild(): local entries keep the relative order of
-  // the global index restricted to the component, so every engine sweep
-  // enumerates devices in the same relative order as the global problem.
-  const std::size_t resources = out.weights_.size();
-  out.index_offsets_.assign(resources + 1, 0);
-  for (const Option& opt : out.arena_) {
-    ++out.index_offsets_[opt.r_compute + 1];
-    ++out.index_offsets_[opt.r_access + 1];
-    ++out.index_offsets_[opt.r_fronthaul + 1];
-  }
-  for (std::size_t r = 0; r < resources; ++r) {
-    out.index_offsets_[r + 1] += out.index_offsets_[r];
-  }
-  out.index_entries_.resize(3 * out.arena_.size());
-  for (std::size_t a = 0; a < out.arena_.size(); ++a) {
-    const Option& opt = out.arena_[a];
-    out.index_entries_[out.index_offsets_[opt.r_compute]++] =
-        static_cast<std::uint32_t>(a);
-    out.index_entries_[out.index_offsets_[opt.r_access]++] =
-        static_cast<std::uint32_t>(a);
-    out.index_entries_[out.index_offsets_[opt.r_fronthaul]++] =
-        static_cast<std::uint32_t>(a);
-  }
-  for (std::size_t r = resources; r > 0; --r) {
-    out.index_offsets_[r] = out.index_offsets_[r - 1];
-  }
-  out.index_offsets_[0] = 0;
+  out.weights_.resize(member_resources.size());
   out.components_valid_ = false;
   out.signature_valid_ = false;
+  patch_component(split, c, /*values=*/false, out);
+}
+
+void WcgProblem::patch_component(const WcgComponents& split, std::size_t c,
+                                 bool values, WcgProblem& out) const {
+  const std::span<const std::uint32_t> member_resources = split.resources_of(c);
+  for (std::size_t t = 0; t < member_resources.size(); ++t) {
+    out.weights_[t] = weights_[member_resources[t]];
+  }
+  if (values) {
+    std::size_t o = 0;
+    for (const std::uint32_t i : split.devices_of(c)) {
+      for (std::size_t a = offsets_[i]; a < offsets_[i + 1]; ++a, ++o) {
+        out.arena_[o].p_compute = arena_[a].p_compute;
+        out.arena_[o].p_access = arena_[a].p_access;
+        out.arena_[o].p_fronthaul = arena_[a].p_fronthaul;
+      }
+    }
+  }
+  out.values_version_ = next_version();
+  out.weights_version_ = next_version();
 }
 
 LoadTracker::LoadTracker(const WcgProblem& problem, Profile profile)
@@ -808,37 +803,36 @@ BestResponseEngine::BestResponseEngine(LoadTracker& tracker)
     refresh_fronthaul_term(j, opt.bs);
   }
 
-  // CSR sweep sets: the distinct devices with an option on each server (from
-  // the option-level inverted index, deduplicating its device-major runs)
-  // and on each base station (one group per device-BS pair).
-  server_device_offsets_.assign(num_servers_ + 1, 0);
-  server_device_entries_.clear();
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    std::size_t last = devices;  // sentinel: no device yet
-    for (const std::uint32_t a : problem_->options_on_resource(s)) {
-      const std::size_t j = problem_->device_of(a);
-      if (j == last) continue;
-      last = j;
-      server_device_entries_.push_back(static_cast<std::uint32_t>(j));
-    }
-    server_device_offsets_[s + 1] =
-        static_cast<std::uint32_t>(server_device_entries_.size());
+  // CSR sweep sets: the distinct devices with an option on each server and
+  // on each base station (one group per device-BS pair).
+  build_sweep_sets(
+      num_servers_,
+      [&](auto&& visit) {
+        for (std::size_t a = 0; a < entries; ++a) {
+          visit(server_of_entry_[a], problem_->device_of(a));
+        }
+      },
+      server_device_offsets_, server_device_entries_);
+  build_sweep_sets(
+      num_base_stations_,
+      [&](auto&& visit) {
+        for (const kernels::ScanGroup& grp : groups_) visit(grp.bs, grp.device);
+      },
+      bs_device_offsets_, bs_device_entries_);
+}
+
+std::span<const std::uint32_t> BestResponseEngine::sweep_set(
+    std::size_t resource) const {
+  EOTORA_REQUIRE(resource < num_servers_ + 2 * num_base_stations_);
+  if (resource < num_servers_) {
+    return {server_device_entries_.data() + server_device_offsets_[resource],
+            server_device_offsets_[resource + 1] -
+                server_device_offsets_[resource]};
   }
-  bs_device_offsets_.assign(num_base_stations_ + 1, 0);
-  for (const kernels::ScanGroup& grp : groups_) {
-    ++bs_device_offsets_[grp.bs + 1];
-  }
-  for (std::size_t k = 0; k < num_base_stations_; ++k) {
-    bs_device_offsets_[k + 1] += bs_device_offsets_[k];
-  }
-  bs_device_entries_.resize(groups_.size());
-  for (const kernels::ScanGroup& grp : groups_) {
-    bs_device_entries_[bs_device_offsets_[grp.bs]++] = grp.device;
-  }
-  for (std::size_t k = num_base_stations_; k > 0; --k) {
-    bs_device_offsets_[k] = bs_device_offsets_[k - 1];
-  }
-  bs_device_offsets_[0] = 0;
+  std::size_t k = resource - num_servers_;
+  if (k >= num_base_stations_) k -= num_base_stations_;  // fronthaul
+  return {bs_device_entries_.data() + bs_device_offsets_[k],
+          bs_device_offsets_[k + 1] - bs_device_offsets_[k]};
 }
 
 void BestResponseEngine::refresh_compute_term(std::size_t device,
@@ -925,26 +919,17 @@ void BestResponseEngine::move(std::size_t device, std::size_t option_index) {
   cur_bs_[device] = static_cast<std::uint32_t>(nxt.bs);
   for (std::size_t t = 0; t < m; ++t) {
     const std::size_t r = changed[t];
+    const std::span<const std::uint32_t> sweep = sweep_set(r);
+    term_refreshes_ += sweep.size();
     if (r < num_servers_) {
-      term_refreshes_ +=
-          server_device_offsets_[r + 1] - server_device_offsets_[r];
-      for (std::size_t e = server_device_offsets_[r];
-           e < server_device_offsets_[r + 1]; ++e) {
-        refresh_compute_term(server_device_entries_[e], r);
-      }
+      for (const std::uint32_t j : sweep) refresh_compute_term(j, r);
     } else if (r < num_servers_ + num_base_stations_) {
-      const std::size_t k = r - num_servers_;
-      term_refreshes_ += bs_device_offsets_[k + 1] - bs_device_offsets_[k];
-      for (std::size_t e = bs_device_offsets_[k]; e < bs_device_offsets_[k + 1];
-           ++e) {
-        refresh_access_term(bs_device_entries_[e], k);
+      for (const std::uint32_t j : sweep) {
+        refresh_access_term(j, r - num_servers_);
       }
     } else {
-      const std::size_t k = r - num_servers_ - num_base_stations_;
-      term_refreshes_ += bs_device_offsets_[k + 1] - bs_device_offsets_[k];
-      for (std::size_t e = bs_device_offsets_[k]; e < bs_device_offsets_[k + 1];
-           ++e) {
-        refresh_fronthaul_term(bs_device_entries_[e], k);
+      for (const std::uint32_t j : sweep) {
+        refresh_fronthaul_term(j, r - num_servers_ - num_base_stations_);
       }
     }
   }

@@ -22,11 +22,12 @@
 // this is what makes CGBA's best-response dynamics terminate.
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "The WCG hot path"): options live
-// in one contiguous arena with per-device offset spans, a resource→option
-// inverted index is derived at rebuild() time, and BestResponseEngine caches
-// the per-(device, resource) cost terms option costs factor into, re-deriving
-// only the terms a move's changed loads invalidate — every best response it
-// returns is bit-identical to a from-scratch LoadTracker evaluation.
+// in one contiguous arena with per-device offset spans, each reachable
+// (device, server) pair priced once per rebuild(), and BestResponseEngine
+// caches the per-(device, resource) cost terms option costs factor into,
+// re-deriving only the terms a move's changed loads invalidate — every best
+// response it returns is bit-identical to a from-scratch LoadTracker
+// evaluation.
 #pragma once
 
 #include <cstddef>
@@ -109,7 +110,7 @@ class WcgProblem {
              const Frequencies& frequencies);
 
   // Re-derives everything for a new slot, reusing the existing allocations
-  // (option arena, offset table, weights, inverted index). Equivalent to
+  // (option arena, offset table, weights, pricing scratch). Equivalent to
   // constructing a fresh problem, without the per-slot heap churn — policies
   // and BDMA reuse one problem across the whole simulation horizon.
   void rebuild(const Instance& instance, const SlotState& state,
@@ -141,15 +142,8 @@ class WcgProblem {
   [[nodiscard]] std::size_t device_of(std::size_t arena_index) const {
     return device_of_[arena_index];
   }
-  // Arena indices of every option touching `resource` (each option touches
-  // exactly three distinct resources, so no per-option deduplication is
-  // needed). Rebuilt with the arena; frequency updates never invalidate it.
-  [[nodiscard]] std::span<const std::uint32_t> options_on_resource(
-      std::size_t resource) const;
-
   // Re-derives the compute-resource weights for new frequencies; option
-  // lists, p-values, and the inverted index are frequency-independent and
-  // stay valid.
+  // lists and p-values are frequency-independent and stay valid.
   void set_frequencies(const Instance& instance,
                        const Frequencies& frequencies);
 
@@ -212,6 +206,27 @@ class WcgProblem {
   void extract_component(const WcgComponents& split, std::size_t c,
                          WcgProblem& out) const;
 
+  // Brings `out` — component c of `split`, extracted from this problem at
+  // the current structure_version() — up to date in place: copies the
+  // member weights, and the member p-values when `values`. The result is
+  // bit-identical to a fresh extract_component.
+  void patch_component(const WcgComponents& split, std::size_t c, bool values,
+                       WcgProblem& out) const;
+
+  // Process-unique ids of this problem's state, drawn from one process-wide
+  // counter: structure_version() changes on each components() re-find,
+  // values_version() on each rebuild(), weights_version() on each
+  // set_frequencies(). Equal ids mean equal contents, even across objects
+  // or re-creation at one address — the core/sharded shard cache keys on
+  // them.
+  [[nodiscard]] std::uint64_t structure_version() const {
+    return structure_version_;
+  }
+  [[nodiscard]] std::uint64_t values_version() const { return values_version_; }
+  [[nodiscard]] std::uint64_t weights_version() const {
+    return weights_version_;
+  }
+
   // Drops the cached structure signature so the next components() call runs
   // the full union-find sweep even if the structure is unchanged. Only for
   // benchmarks and tests that need to time/pin the from-scratch path;
@@ -241,23 +256,26 @@ class WcgProblem {
   std::vector<double> inv_access_bw_;         // 1 / W^A_k
   std::vector<double> inv_fronthaul_bw_;      // 1 / W^F_k
   std::vector<double> fronthaul_se_;          // h^F_k
-  // rebuild() scratch for the batched per-device sqrt(f_i / σ_{i,·}) row.
-  std::vector<double> task_cycles_row_;
+  // rebuild() pricing scratch: sqrt(f_i / σ_{i,n}) per server, valid where
+  // priced_by_[n] == i.
   std::vector<double> sqrt_compute_row_;
-  // resource -> arena indices of options touching it (CSR layout).
-  std::vector<std::size_t> index_offsets_;  // num_resources + 1
-  std::vector<std::uint32_t> index_entries_;
+  std::vector<std::uint32_t> priced_by_;
   std::size_t num_servers_ = 0;
   std::size_t num_base_stations_ = 0;
 
   // Lazy component cache (see components()). The signature captures the
-  // connectivity structure — per-option (bs, server) plus the offset table —
-  // so an identical-structure rebuild can reuse the decomposition.
+  // connectivity structure — per-option (bs, server), the offset table and
+  // the resource layout — so an identical-structure rebuild can reuse the
+  // decomposition.
   mutable WcgComponents components_;
   mutable bool components_valid_ = false;
   mutable bool signature_valid_ = false;
   mutable std::vector<std::size_t> signature_offsets_;
   mutable std::vector<std::uint64_t> signature_options_;  // (bs << 32) | server
+  mutable std::size_t signature_servers_ = 0;
+  mutable std::uint64_t structure_version_ = 0;
+  std::uint64_t values_version_ = 0;
+  std::uint64_t weights_version_ = 0;
 };
 
 // Incremental load bookkeeping for search algorithms (CGBA, MCBA, B&B).
@@ -367,6 +385,12 @@ class BestResponseEngine {
   // cost terms the changed resources invalidate.
   void move(std::size_t device, std::size_t option_index);
 
+  // The devices whose terms a load change on `resource` invalidates: those
+  // with an option on that server (or base station, for an access or
+  // fronthaul resource), ascending and duplicate-free.
+  [[nodiscard]] std::span<const std::uint32_t> sweep_set(
+      std::size_t resource) const;
+
   // Incremental per-(device,resource) term re-derivations performed by
   // move() calls so far — the effort the cache saved vs. a full rebuild.
   // Flushed into core::counters by the solver that owns the engine.
@@ -390,7 +414,8 @@ class BestResponseEngine {
   std::vector<std::uint32_t> device_group_begin_;  // device -> first group
   std::vector<std::uint32_t> server_of_entry_;     // arena entry -> server
   // CSR lists of the distinct devices with an option on a server / a base
-  // station — the sweep sets for term refreshes after a move.
+  // station, ascending — the sweep sets for term refreshes after a move,
+  // derived from the arena at construction.
   std::vector<std::uint32_t> server_device_offsets_;
   std::vector<std::uint32_t> server_device_entries_;
   std::vector<std::uint32_t> bs_device_offsets_;

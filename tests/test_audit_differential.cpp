@@ -18,6 +18,7 @@
 #include "energy/quadratic_energy.h"
 #include "sim/audit.h"
 #include "sim/pipeline/assemblies.h"
+#include "test_helpers.h"
 #include "topology/builder.h"
 #include "util/rng.h"
 
@@ -34,7 +35,7 @@ std::shared_ptr<topology::Topology> tiny_random_topology(util::Rng& rng) {
   std::vector<topology::ClusterId> cluster_ids;
   for (std::size_t m = 0; m < clusters; ++m) {
     cluster_ids.push_back(builder.add_cluster(
-        "c" + std::to_string(m),
+        test::numbered("c", m),
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)}));
   }
   auto model = std::make_shared<energy::QuadraticEnergy>(
@@ -44,7 +45,7 @@ std::shared_ptr<topology::Topology> tiny_random_topology(util::Rng& rng) {
     const std::size_t count = 1 + rng.index(2);
     for (std::size_t j = 0; j < count; ++j) {
       const double lo = rng.uniform(1.0, 2.5);
-      builder.add_server("s" + std::to_string(servers++), cluster_ids[m],
+      builder.add_server(test::numbered("s", servers++), cluster_ids[m],
                          rng.bernoulli(0.5) ? 64 : 128, lo,
                          lo + rng.uniform(0.5, 1.5), model);
     }
@@ -57,14 +58,14 @@ std::shared_ptr<topology::Topology> tiny_random_topology(util::Rng& rng) {
     }
     if (connected.empty()) connected.push_back(rng.pick(cluster_ids));
     builder.add_base_station(
-        "b" + std::to_string(k),
+        test::numbered("b", k),
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
         topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
         rng.uniform(0.5e9, 1e9), 10.0, connected);
   }
   const std::size_t devices = 3 + rng.index(3);
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
+    builder.add_device(test::numbered("d", i),
                        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
   }
   return std::make_shared<topology::Topology>(builder.build());

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/instance.h"
@@ -12,6 +13,14 @@
 #include "util/rng.h"
 
 namespace eotora::test {
+
+// "<prefix><index>" built with +=: GCC 12 misreports the inlined
+// `"literal" + std::to_string(i)` as an overlapping memcpy (-Wrestrict).
+inline std::string numbered(const char* prefix, std::size_t index) {
+  std::string name = prefix;
+  name += std::to_string(index);
+  return name;
+}
 
 // A deliberately small topology:
 //   room-0: server 0 (64c), server 1 (128c)     room-1: server 2 (64c)
@@ -33,7 +42,7 @@ inline std::shared_ptr<topology::Topology> tiny_topology(
   builder.add_base_station("bs-1", {500.0, 500.0}, topology::Band::kLow,
                            2000.0, 60e6, 0.6e9, 10.0, {room1});
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
+    builder.add_device(numbered("d", i),
                        {100.0 + 50.0 * static_cast<double>(i), 400.0});
   }
   return std::make_shared<topology::Topology>(builder.build());

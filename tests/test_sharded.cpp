@@ -6,11 +6,15 @@
 //   - cgba_sharded == cgba and mcba_sharded == mcba EXACTLY (EXPECT_EQ on
 //     doubles) — the paper-figure reproducibility guarantee extends to the
 //     sharded drivers for every worker count;
-//   - per-shard counters partitioning the solve's flushed totals.
+//   - per-shard counters partitioning the solve's flushed totals;
+//   - the workspace shard cache: shards patched in place across rebuilds,
+//     frequency changes, structure changes, alternating problems and a
+//     problem re-created at one address all equal a fresh extraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cgba.h"
@@ -49,19 +53,19 @@ GroupedWorld random_grouped_world(util::Rng& rng) {
   std::size_t stations = 0;
   for (std::size_t g = 0; g < world.groups; ++g) {
     const topology::ClusterId cluster = builder.add_cluster(
-        "c" + std::to_string(g),
+        test::numbered("c", g),
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
     const std::size_t count = 1 + rng.index(3);
     for (std::size_t j = 0; j < count; ++j) {
       const double lo = rng.uniform(1.0, 2.5);
-      builder.add_server("s" + std::to_string(servers++), cluster,
+      builder.add_server(test::numbered("s", servers++), cluster,
                          rng.bernoulli(0.5) ? 64 : 128, lo,
                          lo + rng.uniform(0.5, 1.5), model);
     }
     const std::size_t local_stations = 1 + rng.index(2);
     for (std::size_t k = 0; k < local_stations; ++k) {
       builder.add_base_station(
-          "b" + std::to_string(stations),
+          test::numbered("b", stations),
           {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
           topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
           rng.uniform(0.5e9, 1e9), 10.0, {cluster});
@@ -71,7 +75,7 @@ GroupedWorld random_grouped_world(util::Rng& rng) {
   }
   const std::size_t devices = 4 + rng.index(9);
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
+    builder.add_device(test::numbered("d", i),
                        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
     world.device_group.push_back(rng.index(world.groups));
   }
@@ -410,6 +414,213 @@ TEST(ShardedMetroScenario, OneComponentPerDistrictAcrossSlots) {
     ASSERT_EQ(problem.components().count, config.metro_districts)
         << "slot " << slot;
   }
+}
+
+// Every shard the workspace holds equals a fresh extract_component of the
+// problem's current decomposition, bit for bit: options (ids and
+// magnitudes), arena spans and weights.
+void expect_shards_fresh(const WcgProblem& problem,
+                         const ShardedWorkspace& ws) {
+  const WcgComponents& split = problem.components();
+  ASSERT_GT(split.count, 1u);
+  WcgProblem fresh;
+  for (std::size_t c = 0; c < split.count; ++c) {
+    problem.extract_component(split, c, fresh);
+    const WcgProblem& got = ws.problems[c];
+    ASSERT_EQ(got.num_devices(), fresh.num_devices()) << "shard " << c;
+    ASSERT_EQ(got.num_servers(), fresh.num_servers());
+    ASSERT_EQ(got.num_base_stations(), fresh.num_base_stations());
+    ASSERT_EQ(got.num_options(), fresh.num_options());
+    for (std::size_t i = 0; i <= fresh.num_devices(); ++i) {
+      ASSERT_EQ(got.arena_offset(i), fresh.arena_offset(i));
+    }
+    for (std::size_t a = 0; a < fresh.num_options(); ++a) {
+      const Option& x = got.option_at(a);
+      const Option& y = fresh.option_at(a);
+      EXPECT_EQ(got.device_of(a), fresh.device_of(a));
+      EXPECT_EQ(x.bs, y.bs);
+      EXPECT_EQ(x.server, y.server);
+      EXPECT_EQ(x.r_compute, y.r_compute);
+      EXPECT_EQ(x.r_access, y.r_access);
+      EXPECT_EQ(x.r_fronthaul, y.r_fronthaul);
+      EXPECT_EQ(x.p_compute, y.p_compute) << "shard " << c << " entry " << a;
+      EXPECT_EQ(x.p_access, y.p_access);
+      EXPECT_EQ(x.p_fronthaul, y.p_fronthaul);
+    }
+    ASSERT_EQ(got.num_resources(), fresh.num_resources());
+    for (std::size_t r = 0; r < fresh.num_resources(); ++r) {
+      EXPECT_EQ(got.weight(r), fresh.weight(r)) << "shard " << c;
+    }
+  }
+}
+
+// Runs the sharded CGBA and MCBA drivers through `ws`, requires both to
+// equal the global solves bit for bit, then checks the planned shards.
+void expect_sharded_matches_global(const WcgProblem& problem,
+                                   ShardedWorkspace& ws, unsigned seed) {
+  util::Rng cgba_global_rng(seed);
+  util::Rng cgba_sharded_rng(seed);
+  const SolveResult cgba_global = cgba(problem, {}, cgba_global_rng);
+  const ShardedResult cgba_shards =
+      cgba_sharded(problem, {}, cgba_sharded_rng, 2, &ws);
+  ASSERT_EQ(cgba_shards.result.profile, cgba_global.profile);
+  ASSERT_EQ(cgba_shards.result.cost, cgba_global.cost);  // exact bits
+  expect_shards_fresh(problem, ws);
+
+  McbaConfig config;
+  config.iterations = 200;
+  util::Rng mcba_global_rng(seed);
+  util::Rng mcba_sharded_rng(seed);
+  const SolveResult mcba_global = mcba(problem, config, mcba_global_rng);
+  const ShardedResult mcba_shards =
+      mcba_sharded(problem, config, mcba_sharded_rng, 2, &ws);
+  ASSERT_EQ(mcba_shards.result.profile, mcba_global.profile);
+  ASSERT_EQ(mcba_shards.result.cost, mcba_global.cost);
+  expect_shards_fresh(problem, ws);
+}
+
+// The same link structure as `state` with new magnitudes everywhere.
+SlotState rescaled(SlotState state, util::Rng& rng) {
+  for (double& f : state.task_cycles) f *= rng.uniform(0.5, 2.0);
+  for (double& d : state.data_bits) d *= rng.uniform(0.5, 2.0);
+  for (auto& row : state.channel) {
+    for (double& h : row) h *= rng.uniform(0.5, 2.0);
+  }
+  return state;
+}
+
+// A grouped world with at least two components and a device covered by two
+// or more stations (so dropping one of its links changes the structure).
+struct CacheWorld {
+  GroupedWorld world;
+  std::optional<Instance> instance;
+  SlotState state;
+  std::size_t two_link_device = 0;
+};
+
+CacheWorld cache_world(std::uint64_t first_seed) {
+  for (std::uint64_t seed = first_seed;; ++seed) {
+    util::Rng rng(seed);
+    CacheWorld out;
+    out.world = random_grouped_world(rng);
+    const std::size_t devices = out.world.topology->num_devices();
+    out.instance.emplace(
+        out.world.topology,
+        Instance::random_sigma(devices, out.world.topology->num_servers(), rng),
+        1.0);
+    out.state = grouped_state(out.world, rng);
+    const WcgProblem probe(*out.instance, out.state,
+                           out.instance->max_frequencies());
+    if (probe.components().count < 2) continue;
+    for (std::size_t i = 0; i < devices; ++i) {
+      const auto& row = out.state.channel[i];
+      if (std::count_if(row.begin(), row.end(),
+                        [](double h) { return h > 0.0; }) >= 2) {
+        out.two_link_device = i;
+        return out;
+      }
+    }
+  }
+}
+
+// One workspace carried through every way the planned shards can go stale;
+// each step must leave shards equal to a fresh extraction and sharded
+// solves equal to the global ones. The version ids show which path ran.
+TEST(ShardCache, PatchedShardsEqualFreshExtraction) {
+  const CacheWorld a = cache_world(900);
+  const Instance& instance = *a.instance;
+  util::Rng rng(901);
+  ShardedWorkspace ws;
+  WcgProblem problem(instance, a.state, instance.max_frequencies());
+  expect_sharded_matches_global(problem, ws, 1);
+  const std::uint64_t structure = ws.structure_version;
+
+  // (1) Same-structure rebuild with new state: the decomposition is reused
+  // and the shards are patched, not re-extracted.
+  problem.rebuild(instance, rescaled(a.state, rng),
+                  instance.min_frequencies());
+  expect_sharded_matches_global(problem, ws, 2);
+  EXPECT_EQ(ws.structure_version, structure);
+  EXPECT_EQ(ws.values_version, problem.values_version());
+
+  // (2) A set_frequencies-only change: only the weights move.
+  const std::uint64_t values = ws.values_version;
+  problem.set_frequencies(instance, instance.max_frequencies());
+  expect_sharded_matches_global(problem, ws, 3);
+  EXPECT_EQ(ws.structure_version, structure);
+  EXPECT_EQ(ws.values_version, values);
+  EXPECT_EQ(ws.weights_version, problem.weights_version());
+
+  // (3) A rebuild that changes structure: one device loses a station.
+  SlotState dropped = rescaled(a.state, rng);
+  auto& row = dropped.channel[a.two_link_device];
+  *std::find_if(row.begin(), row.end(), [](double h) { return h > 0.0; }) =
+      0.0;
+  problem.rebuild(instance, dropped, instance.max_frequencies());
+  expect_sharded_matches_global(problem, ws, 4);
+  EXPECT_NE(ws.structure_version, structure);
+
+  // (4) Two different problems alternating on one workspace: another world,
+  // and a twin of `problem` with the same links but other magnitudes.
+  const CacheWorld b = cache_world(950);
+  const WcgProblem other(*b.instance, b.state, b.instance->max_frequencies());
+  const WcgProblem twin(instance, rescaled(dropped, rng),
+                        instance.max_frequencies());
+  for (int round = 0; round < 2; ++round) {
+    expect_sharded_matches_global(other, ws, 5);
+    expect_sharded_matches_global(problem, ws, 6);
+    expect_sharded_matches_global(twin, ws, 7);
+  }
+
+  // (5) A problem destroyed and re-created at the same address with the
+  // same structure but new magnitudes.
+  std::optional<WcgProblem> slot;
+  slot.emplace(instance, a.state, instance.max_frequencies());
+  const WcgProblem* address = &*slot;
+  expect_sharded_matches_global(*slot, ws, 8);
+  slot.reset();
+  slot.emplace(instance, rescaled(a.state, rng), instance.max_frequencies());
+  ASSERT_EQ(&*slot, address);
+  expect_sharded_matches_global(*slot, ws, 9);
+}
+
+// A rebuild onto another instance whose options are the same (bs, server)
+// pairs but whose resource layout differs — one more server, in a room no
+// station reaches, shifts every station's resource ids — must re-find the
+// decomposition (and so draw a new structure version), not reuse it.
+TEST(ShardCache, StructureReuseRequiresSameResourceLayout) {
+  const auto instance_with = [](bool dark_server) {
+    topology::TopologyBuilder builder;
+    builder.set_region({1000.0, 1000.0});
+    const auto room = builder.add_cluster("room", {250.0, 250.0});
+    auto model = std::make_shared<energy::QuadraticEnergy>(5.0, 2.0, 20.0);
+    builder.add_server("s0", room, 64, 1.8, 3.6, model);
+    if (dark_server) {
+      builder.add_server("s1", builder.add_cluster("dark", {750.0, 750.0}),
+                         64, 1.8, 3.6, model);
+    }
+    builder.add_base_station("bs", {500.0, 500.0}, topology::Band::kLow,
+                             2000.0, 80e6, 0.8e9, 10.0, {room});
+    for (std::size_t i = 0; i < 3; ++i) {
+      builder.add_device(test::numbered("d", i), {400.0, 400.0});
+    }
+    auto topo = std::make_shared<topology::Topology>(builder.build());
+    SuitabilityMatrix sigma(3, std::vector<double>(topo->num_servers(), 1.0));
+    return Instance(topo, std::move(sigma), 5.0);
+  };
+  const Instance narrow = instance_with(false);
+  const Instance wide = instance_with(true);
+  const SlotState state = test::uniform_state(3, 1);
+
+  WcgProblem problem(narrow, state, narrow.max_frequencies());
+  (void)problem.components();
+  const std::uint64_t before = problem.structure_version();
+  problem.rebuild(wide, state, wide.max_frequencies());
+  const WcgProblem fresh(wide, state, wide.max_frequencies());
+  const WcgComponents& got = problem.components();
+  EXPECT_NE(problem.structure_version(), before);
+  EXPECT_EQ(got.resource_component, fresh.components().resource_component);
+  EXPECT_EQ(got.resource_local, fresh.components().resource_local);
 }
 
 TEST(ShardedMetroScenario, RejectsNonSquareGridAndGaussMarkov) {

@@ -44,7 +44,7 @@ std::shared_ptr<topology::Topology> random_topology(util::Rng& rng) {
   std::vector<topology::ClusterId> cluster_ids;
   for (std::size_t m = 0; m < clusters; ++m) {
     cluster_ids.push_back(builder.add_cluster(
-        "c" + std::to_string(m),
+        test::numbered("c", m),
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)}));
   }
   auto model = std::make_shared<energy::QuadraticEnergy>(
@@ -54,7 +54,7 @@ std::shared_ptr<topology::Topology> random_topology(util::Rng& rng) {
     const std::size_t count = 1 + rng.index(3);
     for (std::size_t j = 0; j < count; ++j) {
       const double lo = rng.uniform(1.0, 2.5);
-      builder.add_server("s" + std::to_string(servers++), cluster_ids[m],
+      builder.add_server(test::numbered("s", servers++), cluster_ids[m],
                          rng.bernoulli(0.5) ? 64 : 128, lo,
                          lo + rng.uniform(0.5, 1.5), model);
     }
@@ -67,14 +67,14 @@ std::shared_ptr<topology::Topology> random_topology(util::Rng& rng) {
     }
     if (connected.empty()) connected.push_back(rng.pick(cluster_ids));
     builder.add_base_station(
-        "b" + std::to_string(k),
+        test::numbered("b", k),
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
         topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
         rng.uniform(0.5e9, 1e9), 10.0, connected);
   }
   const std::size_t devices = 3 + rng.index(8);
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
+    builder.add_device(test::numbered("d", i),
                        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
   }
   return std::make_shared<topology::Topology>(builder.build());
@@ -346,7 +346,7 @@ TEST_P(OracleEquivalence, SolverProfilesPassTheFeasibilityAudit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleEquivalence, ::testing::Range(0, 25));
 
 // rebuild() on a dirty problem must be indistinguishable from a freshly
-// constructed one — same options, weights, inverted index, and cost bits.
+// constructed one — same options, weights, and cost bits.
 TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
   util::Rng rng(99);
   const Instance instance = test::tiny_instance(5);
@@ -362,10 +362,6 @@ TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
   ASSERT_EQ(reused.num_options(), fresh.num_options());
   for (std::size_t r = 0; r < fresh.num_resources(); ++r) {
     EXPECT_EQ(reused.weight(r), fresh.weight(r));
-    const auto ia = reused.options_on_resource(r);
-    const auto ib = fresh.options_on_resource(r);
-    ASSERT_EQ(ia.size(), ib.size());
-    for (std::size_t t = 0; t < ia.size(); ++t) EXPECT_EQ(ia[t], ib[t]);
   }
   for (std::size_t i = 0; i < fresh.num_devices(); ++i) {
     const auto oa = reused.options(i);
@@ -385,7 +381,7 @@ TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
 }
 
 // rebuild() survives shrinking and growing shapes (a smaller slot after a
-// bigger one must not leave stale arena/index tails behind).
+// bigger one must not leave stale arena or pricing-scratch tails behind).
 TEST(WcgRebuild, RebuildAcrossDifferentShapes) {
   util::Rng rng(7);
   WcgProblem reused;
@@ -431,36 +427,45 @@ TEST(WcgScratch, ScratchOverloadsMatchAllocatingOverloads) {
   }
 }
 
-// The inverted index is exactly the transpose of the option->resource map.
-TEST(WcgInvertedIndex, IndexIsConsistentWithArena) {
-  util::Rng rng(17);
-  const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    1.0);
-  const SlotState state = random_sparse_state(*topo, rng);
-  const WcgProblem problem(instance, state, instance.max_frequencies());
+// The engine's sweep sets are exactly the brute-force "distinct devices with
+// an option on this server / base station" lists, in ascending device order
+// (the order every term-refresh sweep visits devices in); arena_offset and
+// device_of agree with options().
+TEST(WcgSweepSets, EngineSweepSetsMatchBruteForce) {
+  for (std::uint64_t seed = 17; seed < 27; ++seed) {
+    util::Rng rng(seed);
+    const auto topo = random_topology(rng);
+    const std::size_t devices = topo->num_devices();
+    Instance instance(
+        topo, Instance::random_sigma(devices, topo->num_servers(), rng), 1.0);
+    const SlotState state = random_sparse_state(*topo, rng);
+    const WcgProblem problem(instance, state, instance.max_frequencies());
+    LoadTracker tracker(problem, problem.random_profile(rng));
+    const BestResponseEngine engine(tracker);
 
-  std::size_t total_entries = 0;
-  for (std::size_t r = 0; r < problem.num_resources(); ++r) {
-    for (const std::uint32_t a : problem.options_on_resource(r)) {
-      const Option& opt = problem.option_at(a);
-      EXPECT_TRUE(opt.r_compute == r || opt.r_access == r ||
-                  opt.r_fronthaul == r)
-          << "resource " << r << " arena " << a;
-      ++total_entries;
+    const std::size_t servers = problem.num_servers();
+    for (std::size_t r = 0; r < problem.num_resources(); ++r) {
+      std::vector<std::uint32_t> expected;
+      for (std::size_t i = 0; i < devices; ++i) {
+        bool touches = false;
+        for (const Option& opt : problem.options(i)) {
+          touches = touches || (r < servers ? opt.r_compute == r
+                                            : opt.r_access == r ||
+                                                  opt.r_fronthaul == r);
+        }
+        if (touches) expected.push_back(static_cast<std::uint32_t>(i));
+      }
+      const auto got = engine.sweep_set(r);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expected)
+          << "seed " << seed << " resource " << r;
     }
-  }
-  // Every option touches exactly three distinct resources.
-  EXPECT_EQ(total_entries, 3 * problem.num_options());
 
-  // arena_offset/device_of agree with options().
-  for (std::size_t i = 0; i < devices; ++i) {
-    const std::size_t base = problem.arena_offset(i);
-    for (std::size_t o = 0; o < problem.options(i).size(); ++o) {
-      EXPECT_EQ(problem.device_of(base + o), i);
-      EXPECT_EQ(problem.option_at(base + o).bs, problem.options(i)[o].bs);
+    for (std::size_t i = 0; i < devices; ++i) {
+      const std::size_t base = problem.arena_offset(i);
+      for (std::size_t o = 0; o < problem.options(i).size(); ++o) {
+        EXPECT_EQ(problem.device_of(base + o), i);
+        EXPECT_EQ(problem.option_at(base + o).bs, problem.options(i)[o].bs);
+      }
     }
   }
 }
